@@ -19,10 +19,11 @@ from .definability import (
 )
 from .dualdd import (
     GeneralSurjection,
+    LinearSurjection,
     collision_pairs,
     minimal_nondegenerate_set,
-    preimage_general,
-    preimage_linear,
+    preimage_general_trace,
+    preimage_linear_trace,
     surject_general,
     surject_linear,
 )

@@ -12,7 +12,8 @@ import sys
 from itertools import combinations
 
 from . import definability, dualdd, formulas, gf2core, permlab, pregeometry
-from .errors import DdlabError, DimensionExhausted, GroundExhausted, MajorityTie
+from .errors import DdlabError, MajorityTie
+from .gf2core import bits_list
 
 DEFAULT_SEED = 20260811
 
@@ -23,10 +24,6 @@ class ConfigError(Exception):
 
 def _bits(v: int, dim: int) -> str:
     return gf2core.vector_to_bits(v, dim)
-
-
-def _bits_list(vectors, dim: int) -> list[str]:
-    return [_bits(v, dim) for v in sorted(vectors)]
 
 
 def _parse_vectors(text: str, dim: int) -> frozenset[int]:
@@ -100,7 +97,13 @@ def _cmd_axioms(args):
     return records, sum(not r.ok for r in reports)
 
 
-def _general_instance(args) -> tuple[dualdd.GeneralSurjection, int]:
+def _linear_construction(args) -> dualdd.LinearSurjection:
+    if args.dim is None:
+        raise ConfigError("linear construction needs --dim")
+    return dualdd.LinearSurjection(args.dim)
+
+
+def _general_construction(args) -> dualdd.GeneralSurjection:
     if args.geometry not in ("linear", "affine"):
         raise ConfigError("general construction needs --geometry "
                           "linear or affine")
@@ -108,128 +111,69 @@ def _general_instance(args) -> tuple[dualdd.GeneralSurjection, int]:
         raise ConfigError("general construction needs --dim")
     op = _make_operator(args)
     try:
-        inst = dualdd.GeneralSurjection.build(op)
+        return dualdd.GeneralSurjection.build(op)
     except DdlabError as exc:
         raise ConfigError(f"cannot build instance: {exc}") from exc
-    return inst, args.dim
+
+
+CONSTRUCTIONS = {"linear": _linear_construction,
+                 "general": _general_construction}
 
 
 def _cmd_surjection_verify(args):
+    if args.max_t < 0:
+        raise ConfigError("--max-t must be at least 0")
+    construction = CONSTRUCTIONS[args.construction](args)
+    dim = construction.dim
+    params = construction.sweep_params
     records = []
-    violations = 0
-    if args.construction == "linear":
-        if args.dim is None:
-            raise ConfigError("linear construction needs --dim")
-        dim = args.dim
-        nonzero = range(1, 1 << dim)
-        params = {"construction": "linear", "dim": dim}
-        for size in range(args.max_t + 1):
-            for combo in combinations(nonzero, size):
-                target = frozenset(combo)
-                record = {"check": "surjection-verify", **params,
-                          "T": _bits_list(target, dim)}
-                try:
-                    trace = dualdd.preimage_linear_trace(target, dim)
-                    image = dualdd.surject_linear(trace.source, dim)
-                    record.update(S=_bits_list(trace.source, dim),
-                                  f_of_S=_bits_list(image, dim),
-                                  ok=image == target, skipped=False)
-                except DimensionExhausted as exc:
-                    record.update(S=None, f_of_S=None, ok=True,
-                                  skipped=True, reason=str(exc))
-                except DdlabError as exc:
-                    record.update(S=None, f_of_S=None, ok=False,
-                                  skipped=False, error=str(exc))
-                violations += not record["ok"]
-                records.append(record)
-    else:
-        inst, dim = _general_instance(args)
-        params = {"construction": "general", "geometry": inst.op.kind,
-                  "dim": dim}
-        ground = sorted(inst.op.ground)
-        for size in range(args.max_t + 1):
-            for combo in combinations(ground, size):
-                target = frozenset(combo)
-                record = {"check": "surjection-verify", **params,
-                          "T": _bits_list(target, dim),
-                          "instance": {
-                              "witness": _bits_list(inst.witness, dim),
-                              "anchor": _bits_list(inst.anchor, dim)}}
-                try:
-                    trace = dualdd.preimage_general_trace(inst, target)
-                    image = dualdd.surject_general(inst, trace.source)
-                    record.update(S=_bits_list(trace.source, dim),
-                                  f_of_S=_bits_list(image, dim),
-                                  ok=image == target, skipped=False)
-                except GroundExhausted as exc:
-                    record.update(S=None, f_of_S=None, ok=True,
-                                  skipped=True, reason=str(exc))
-                except DdlabError as exc:
-                    record.update(S=None, f_of_S=None, ok=False,
-                                  skipped=False, error=str(exc))
-                violations += not record["ok"]
-                records.append(record)
-    return records, violations
+    for size in range(args.max_t + 1):
+        for combo in combinations(construction.points, size):
+            target = frozenset(combo)
+            record = {"check": "surjection-verify", **params,
+                      "T": bits_list(target, dim)}
+            try:
+                trace = construction.preimage_trace(target)
+                record.update(S=bits_list(trace.source, dim),
+                              f_of_S=bits_list(trace.image, dim),
+                              ok=trace.image == target, skipped=False)
+            except construction.skip as exc:
+                record.update(S=None, f_of_S=None, ok=True,
+                              skipped=True, reason=str(exc))
+            except DdlabError as exc:
+                record.update(S=None, f_of_S=None, ok=False,
+                              skipped=False, error=str(exc))
+            records.append(record)
+    return records, sum(not r["ok"] for r in records)
 
 
 def _cmd_surjection_preimage(args):
     if args.target is None:
         raise ConfigError("preimage needs --target")
-    if args.construction == "linear":
-        if args.dim is None:
-            raise ConfigError("linear construction needs --dim")
-        dim = args.dim
-        target = _parse_vectors(args.target, dim)
-        trace = dualdd.preimage_linear_trace(target, dim)
-        image = dualdd.surject_linear(trace.source, dim)
-        record = {"check": "surjection-preimage", "construction": "linear",
-                  "dim": dim, "T": _bits_list(target, dim),
-                  "S": _bits_list(trace.source, dim),
-                  "picked": _bits_list(trace.picked, dim),
-                  "f_of_S": _bits_list(image, dim),
-                  "cardinality_identity": trace.cardinality_identity,
-                  "ok": image == target}
-    else:
-        inst, dim = _general_instance(args)
-        target = _parse_vectors(args.target, dim)
-        trace = dualdd.preimage_general_trace(inst, target)
-        image = dualdd.surject_general(inst, trace.source)
-        record = {"check": "surjection-preimage", "construction": "general",
-                  "geometry": inst.op.kind, "dim": dim,
-                  "T": _bits_list(target, dim),
-                  "S": _bits_list(trace.source, dim),
-                  "picked": _bits_list(trace.picked, dim),
-                  "intersection_ok": trace.intersection_ok,
-                  "unique_max_ok": trace.unique_max_ok,
-                  "ok": image == target}
+    construction = CONSTRUCTIONS[args.construction](args)
+    dim = construction.dim
+    target = _parse_vectors(args.target, dim)
+    trace = construction.preimage_trace(target)
+    record = {"check": "surjection-preimage", **construction.params,
+              "T": bits_list(target, dim), "S": bits_list(trace.source, dim),
+              **construction.report(trace), "ok": trace.image == target}
     return [record], 0 if record["ok"] else 1
 
 
 def _cmd_surjection_collisions(args):
-    if args.construction == "linear":
-        if args.dim is None:
-            raise ConfigError("linear construction needs --dim")
-        dim = args.dim
-        pairs = dualdd.collision_pairs(dim, args.count)
-
-        def image(s):
-            return dualdd.surject_linear(s, dim)
-    else:
-        inst, dim = _general_instance(args)
-        pairs = dualdd.collision_pairs(inst, args.count)
-
-        def image(s):
-            return dualdd.surject_general(inst, s)
-
+    construction = CONSTRUCTIONS[args.construction](args)
+    dim = construction.dim
     records = []
+    pairs = dualdd.collision_pairs(construction, args.count)
     for index, (first, second) in enumerate(pairs):
+        image = construction.surject(first)
         records.append({"check": "surjection-collisions",
                         "construction": args.construction, "dim": dim,
                         "index": index,
-                        "S1": _bits_list(first, dim),
-                        "S2": _bits_list(second, dim),
-                        "image": _bits_list(image(first), dim),
-                        "ok": image(first) == image(second)})
+                        "S1": bits_list(first, dim),
+                        "S2": bits_list(second, dim),
+                        "image": bits_list(image, dim),
+                        "ok": image == construction.surject(second)})
     return records, sum(not r["ok"] for r in records)
 
 
@@ -281,9 +225,9 @@ def _cmd_orbits(args):
     fixed = _parse_vectors(args.fixed, args.dim) if args.fixed else frozenset()
     orbits = permlab.stabilizer_orbits(fixed, args.dim)
     record = {"check": "orbits", "dim": args.dim,
-              "fixed": _bits_list(fixed, args.dim),
-              "span": _bits_list(orbits.fixed_span, args.dim),
-              "blocks": [_bits_list(b, args.dim) for b in orbits.blocks],
+              "fixed": bits_list(fixed, args.dim),
+              "span": bits_list(orbits.fixed_span, args.dim),
+              "blocks": [bits_list(b, args.dim) for b in orbits.blocks],
               "witnesses": len(orbits.witnesses)}
     return [record], 0
 
@@ -297,8 +241,8 @@ def _cmd_dichotomy(args):
     subset = _parse_vectors(args.set, args.dim)
     result = permlab.check_dichotomy(subset, fixed, args.dim)
     record = {"check": "dichotomy", "dim": args.dim,
-              "fixed": _bits_list(fixed, args.dim),
-              "set": _bits_list(subset, args.dim),
+              "fixed": bits_list(fixed, args.dim),
+              "set": bits_list(subset, args.dim),
               "classification": result.classification}
     if result.witness is not None:
         record["witness_columns"] = [_bits(c, args.dim)
@@ -316,7 +260,7 @@ def _cmd_equivariance(args):
             args.dim, trials=args.trials, seed=args.seed,
             exhaustive_max_size=args.exhaustive_max_size)
     else:
-        inst, _ = _general_instance(args)
+        inst = _general_construction(args)
         report = permlab.check_equivariance_general(
             inst, trials=args.trials, seed=args.seed)
     return [report.to_json()], report.failures
@@ -455,7 +399,7 @@ def main(argv=None, stream=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         records, violations = args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"ddlab: {exc}", file=sys.stderr)
         return 2
     except DdlabError as exc:

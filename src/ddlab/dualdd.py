@@ -19,10 +19,11 @@ from .errors import (
     BudgetExceeded,
     CacheIncomplete,
     DegenerateGeometry,
+    DimensionExhausted,
     GroundExhausted,
     IntermediateAssertFailed,
 )
-from .gf2core import check_dim, check_vectors, extend_independent
+from .gf2core import bits_list, check_dim, check_vectors, extend_independent
 from .pregeometry import ClosureOperator, is_independent
 
 
@@ -46,6 +47,7 @@ class LinearPreimage:
 
     target: frozenset[int]
     source: frozenset[int]
+    image: frozenset[int]
     picked: tuple[int, ...]
     spanned: tuple[int, ...]
     cardinality_identity: bool
@@ -57,9 +59,10 @@ def preimage_linear_trace(target: Iterable[int], dim: int) -> LinearPreimage:
     t = frozenset(check_vectors(target, dim))
     if 0 in t:
         source = t - {0}
-        if surject_linear(source, dim) != t:
+        image = surject_linear(source, dim)
+        if image != t:
             raise IntermediateAssertFailed("preimage verification failed")
-        return LinearPreimage(t, source, (), (), True)
+        return LinearPreimage(t, source, image, (), (), True)
     n = len(t)
     picked = tuple(extend_independent(sorted(t), n + 1, dim))
     spanned = _kernels.span_members(picked)
@@ -69,14 +72,48 @@ def preimage_linear_trace(target: Iterable[int], dim: int) -> LinearPreimage:
     if not identity_ok:
         raise IntermediateAssertFailed("cardinality identity failed")
     source = t | set(spanned)
-    if surject_linear(source, dim) != t:
+    image = surject_linear(source, dim)
+    if image != t:
         raise IntermediateAssertFailed("preimage verification failed")
-    return LinearPreimage(t, source, picked, spanned, identity_ok)
+    return LinearPreimage(t, source, image, picked, spanned, identity_ok)
 
 
-def preimage_linear(target: Iterable[int], dim: int) -> frozenset[int]:
-    """S with surject_linear(S) == target (verified before returning)."""
-    return preimage_linear_trace(target, dim).source
+class LinearSurjection:
+    """The linear surjection on subsets of GF(2)^dim as a construction
+    object; `GeneralSurjection` has the same interface.
+
+    `points` are the points a verification sweep draws targets from, and
+    `skip` is the error that marks a target the finite model cannot reach
+    (a documented verdict, not a violation).  The methods call the module
+    functions by name, so a wrapper bound over those names (as ddbench's
+    tracer does) sees every call.
+    """
+
+    skip = DimensionExhausted
+
+    def __init__(self, dim: int):
+        check_dim(dim)
+        self.dim = dim
+        self.points = range(1, 1 << dim)
+        self.params = {"construction": "linear", "dim": dim}
+        self.sweep_params = self.params
+
+    def surject(self, subset: Iterable[int]) -> frozenset[int]:
+        return surject_linear(subset, self.dim)
+
+    def preimage_trace(self, target: Iterable[int]) -> LinearPreimage:
+        return preimage_linear_trace(target, self.dim)
+
+    def report(self, trace: LinearPreimage) -> dict:
+        """The record fields of one preimage construction."""
+        return {"picked": bits_list(trace.picked, self.dim),
+                "f_of_S": bits_list(trace.image, self.dim),
+                "cardinality_identity": trace.cardinality_identity}
+
+    def collision_pool(self) -> list[frozenset[int]]:
+        """Sets known to collide: the zero subspace and every line, all
+        mapping to the empty set."""
+        return [frozenset([0])] + [frozenset([0, v]) for v in self.points]
 
 
 def minimal_nondegenerate_set(op: ClosureOperator,
@@ -119,7 +156,10 @@ def _spot_check_same_size(op: ClosureOperator, witness: frozenset[int],
 class GeneralSurjection:
     """The pregeometry surjection instance: a non-degeneracy witness E,
     the anchor D = E minus its two largest points, and the cache of
-    closed sets containing cl(D)."""
+    closed sets containing cl(D).  Same interface as `LinearSurjection`,
+    with the ground labels encoded as dim-bit vectors."""
+
+    skip = GroundExhausted
 
     def __init__(self, op: ClosureOperator, witness: frozenset[int],
                  anchor: frozenset[int], max_card: int):
@@ -128,7 +168,15 @@ class GeneralSurjection:
         self.anchor = anchor
         self.anchor_closure = op.cl(anchor)
         self.max_card = max_card
-        self.closed_family = self._build_family()
+        if len(self.anchor_closure) > max_card:
+            raise CacheIncomplete(
+                "cache bound is below the anchor closure size")
+        # exactly the W with cl(anchor u W) == W and |W| <= max_card
+        self.closed_family = op.closed_sets_upto(max_card, anchor)
+        self.dim = max(op.ground).bit_length()
+        self.points = sorted(op.ground)
+        self.params = {"construction": "general", "geometry": op.kind,
+                       "dim": self.dim}
 
     @classmethod
     def build(cls, op: ClosureOperator,
@@ -139,23 +187,32 @@ class GeneralSurjection:
             max_card = len(op.ground)
         return cls(op, witness, anchor, max_card)
 
-    def _build_family(self) -> tuple[frozenset[int], ...]:
-        """Closed sets W containing cl(anchor) with |W| <= max_card;
-        exactly the W with cl(anchor u W) == W in that size range."""
-        start = self.anchor_closure
-        if len(start) > self.max_card:
-            raise CacheIncomplete(
-                "cache bound is below the anchor closure size")
-        seen = {start}
-        queue = [start]
-        while queue:
-            current = queue.pop()
-            for x in self.op.ground - current:
-                bigger = self.op.cl(current | {x})
-                if len(bigger) <= self.max_card and bigger not in seen:
-                    seen.add(bigger)
-                    queue.append(bigger)
-        return tuple(sorted(seen, key=lambda w: (len(w), sorted(w))))
+    @property
+    def sweep_params(self) -> dict:
+        return {**self.params,
+                "instance": {"witness": bits_list(self.witness, self.dim),
+                             "anchor": bits_list(self.anchor, self.dim)}}
+
+    def surject(self, subset: Iterable[int]) -> frozenset[int]:
+        return surject_general(self, subset)
+
+    def preimage_trace(self, target: Iterable[int]) -> "GeneralPreimage":
+        return preimage_general_trace(self, target)
+
+    def report(self, trace: "GeneralPreimage") -> dict:
+        """The record fields of one preimage construction."""
+        return {"picked": bits_list(trace.picked, self.dim),
+                "intersection_ok": trace.intersection_ok,
+                "unique_max_ok": trace.unique_max_ok}
+
+    def collision_pool(self) -> list[frozenset[int]]:
+        """Nonempty sets of the form W - cl(anchor): all map to empty."""
+        seen = set()
+        for w in self.closed_family:
+            diff = w - self.anchor_closure
+            if diff:
+                seen.add(diff)
+        return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
     def __repr__(self):
         return (f"GeneralSurjection(kind={self.op.kind!r}, "
@@ -204,6 +261,7 @@ class GeneralPreimage:
 
     target: frozenset[int]
     source: frozenset[int]
+    image: frozenset[int]
     picked: tuple[int, ...]
     closure_u: frozenset[int]
     intersection_ok: bool
@@ -219,9 +277,10 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
     if not t <= op.ground:
         raise ValueError("target not contained in the ground set")
     if t & inst.anchor_closure:
-        if surject_general(inst, t) != t:
+        image = surject_general(inst, t)
+        if image != t:
             raise IntermediateAssertFailed("identity branch failed")
-        return GeneralPreimage(t, t, (), frozenset(), True, True)
+        return GeneralPreimage(t, t, image, (), frozenset(), True, True)
     picked: list[int] = []
     base = inst.anchor | t
     for _ in range(len(t) + 1):
@@ -247,64 +306,27 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
     if not unique_max_ok:
         raise IntermediateAssertFailed(
             "the maximal qualifying closed set is not unique")
-    if surject_general(inst, source) != t:
+    image = surject_general(inst, source)
+    if image != t:
         raise IntermediateAssertFailed("preimage verification failed")
-    return GeneralPreimage(t, source, tuple(picked), closure_u,
+    return GeneralPreimage(t, source, image, tuple(picked), closure_u,
                            intersection_ok, unique_max_ok)
 
 
-def preimage_general(inst: GeneralSurjection, target: Iterable[int]
-                     ) -> frozenset[int]:
-    """S with surject_general(S) == target (verified before returning)."""
-    return preimage_general_trace(inst, target).source
-
-
-def _collision_pool_linear(dim: int) -> list[frozenset[int]]:
-    """Sets known to collide under the linear surjection: the zero
-    subspace and every line, all mapping to the empty set."""
-    pool = [frozenset([0])]
-    pool += [frozenset([0, v]) for v in range(1, 1 << dim)]
-    return pool
-
-
-def _collision_pool_general(inst: GeneralSurjection) -> list[frozenset[int]]:
-    """Nonempty sets of the form W - cl(anchor): all map to empty."""
-    seen = set()
-    for w in inst.closed_family:
-        diff = w - inst.anchor_closure
-        if diff:
-            seen.add(diff)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def collision_pairs(target, count: int):
-    """Ordered pairs (S1, S2) of distinct sets with equal image, each
-    verified by re-evaluating the surjection.
-
-    `target` is either a dimension (linear construction) or a
-    GeneralSurjection instance.
-    """
+def collision_pairs(construction, count: int):
+    """Ordered pairs (S1, S2) of distinct sets with equal image under a
+    `LinearSurjection` or `GeneralSurjection`, each verified by
+    re-evaluating the surjection."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if isinstance(target, GeneralSurjection):
-        pool = _collision_pool_general(target)
-
-        def apply(s):
-            return surject_general(target, s)
-    else:
-        check_dim(target)
-        pool = _collision_pool_linear(target)
-
-        def apply(s):
-            return surject_linear(s, target)
-
+    pool = construction.collision_pool()
     pairs = []
     for i in range(len(pool)):
         for j in range(len(pool)):
             if i == j:
                 continue
             first, second = pool[i], pool[j]
-            if apply(first) != apply(second):
+            if construction.surject(first) != construction.surject(second):
                 raise IntermediateAssertFailed(
                     "collision pool entries disagree under the surjection")
             pairs.append((first, second))

@@ -266,18 +266,6 @@ def vector_from_bits(text: str) -> tuple[int, int]:
     return v, len(text)
 
 
-def vecset_to_json(vectors: Iterable[int], dim: int) -> dict:
-    return {"dim": dim,
-            "vectors": [vector_to_bits(v, dim) for v in sorted(set(vectors))]}
-
-
-def vecset_from_json(obj: dict) -> tuple[frozenset[int], int]:
-    dim = obj["dim"]
-    check_dim(dim)
-    out = set()
-    for text in obj["vectors"]:
-        v, d = vector_from_bits(text)
-        if d != dim:
-            raise ValueError(f"vector {text!r} does not match dim {dim}")
-        out.add(v)
-    return frozenset(out), dim
+def bits_list(vectors: Iterable[int], dim: int) -> list[str]:
+    """Serialize a vector set as its sorted binary strings."""
+    return [vector_to_bits(v, dim) for v in sorted(vectors)]

@@ -34,7 +34,8 @@ class ClosureOperator:
         self.kind = kind
         self._cl_func = cl_func
         self._cache: dict[frozenset[int], frozenset[int]] = {}
-        self._closed_upto: dict[int, tuple[frozenset[int], ...]] = {}
+        self._closed_upto: dict[tuple[int, frozenset[int]],
+                                tuple[frozenset[int], ...]] = {}
 
     @property
     def size(self) -> int:
@@ -54,14 +55,17 @@ class ClosureOperator:
         key = frozenset(subset)
         return self.cl(key) == key
 
-    def closed_sets_upto(self, max_size: int) -> tuple[frozenset[int], ...]:
-        """All closed sets of size <= max_size, by breadth-first closure
-        of one-point extensions (every closed set is reachable this way
-        for a monotone operator)."""
-        hit = self._closed_upto.get(max_size)
+    def closed_sets_upto(self, max_size: int,
+                         base: frozenset[int] = frozenset()
+                         ) -> tuple[frozenset[int], ...]:
+        """All closed sets of size <= max_size that contain `base`, by
+        breadth-first closure of one-point extensions of cl(base) (every
+        such closed set is reachable this way for a monotone operator)."""
+        key = (max_size, base)
+        hit = self._closed_upto.get(key)
         if hit is not None:
             return hit
-        start = self.cl(frozenset())
+        start = self.cl(base)
         seen: set[frozenset[int]] = set()
         queue = []
         if len(start) <= max_size:
@@ -75,7 +79,7 @@ class ClosureOperator:
                     seen.add(bigger)
                     queue.append(bigger)
         result = tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
-        self._closed_upto[max_size] = result
+        self._closed_upto[key] = result
         return result
 
     def __repr__(self):

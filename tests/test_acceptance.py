@@ -54,7 +54,7 @@ def test_02_preimage_round_trips_exhaustively():
         for size in range(max_t + 1):
             for combo in combinations(nonzero, size):
                 target = frozenset(combo)
-                source = dualdd.preimage_linear(target, dim)
+                source = dualdd.preimage_linear_trace(target, dim).source
                 assert dualdd.surject_linear(source, dim) == target
                 checked += 1
         counts[dim] = checked

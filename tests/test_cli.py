@@ -1,9 +1,12 @@
 """CLI subcommands: record shapes, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from ddlab.cli import main
 
@@ -148,6 +151,65 @@ def test_byte_identical_output_for_same_seed(tmp_path):
     assert out_path.read_text() == first
 
 
+# sha256 of the stdout of each surjection configuration, and its exit code;
+# the records are exact verdicts, so the bytes must not change with the
+# kernel backend or with how the sweeps are written
+GOLDEN = (
+    ("verify --construction linear --dim 5 --max-t 2", 0,
+     "de5361a401be2b4b7cada649840ef05a2b24adc5d12a6d43ebf80ad85ee718ae"),
+    # t=3 at d=3 is skipped: DimensionExhausted
+    ("verify --construction linear --dim 3 --max-t 3", 0,
+     "53ed12d1610dc5e255b4b856835bd625acf52548f810e4c2f718822ca78c37c3"),
+    ("verify --construction linear --dim 3 --max-t 2 --format table", 0,
+     "e3cce8c4d3ef683ae6b787027e6de497aa300022c689eed24511bfe6c8b05e85"),
+    # 105 of the 137 targets are inadmissible: GroundExhausted
+    ("verify --construction general --geometry linear --dim 4 --max-t 2", 0,
+     "28e266a5b6f0d7f27454ddc63720ffdf9a19bf9a7fd7365aecded777ff42d3df"),
+    ("verify --construction general --geometry affine --dim 4 --max-t 2", 0,
+     "60cb812f0bc06221cfd3a94d9e459398685a43f6c824b6e2d97b6b5a8b4cfc4c"),
+    ("verify --construction general --geometry affine --dim 3 --max-t 3 "
+     "--format table", 0,
+     "e84a9a6f0f55bbfd80bb6e5cc19b77f74c4a8cd8dcc3605cd46300d54031050d"),
+    ('preimage --construction linear --dim 3 --target ["100"]', 0,
+     "b026dd3f9415c779a04f458c17bc9d7c77bf85dc5f5f5eb8214acec8e1928a0f"),
+    ('preimage --construction linear --dim 2 --target ["00","11"]', 0,
+     "817e0c695872a168b3e075214a4dbef11ab8baf62a4eba7ff9757109b09288d8"),
+    ('preimage --construction linear --dim 5 --target ["10000","01000"] '
+     "--format table", 0,
+     "4bfe837e8ae71a72d46717878e71d97d20df493fcd810a0aaef1eff91f4e8fbe"),
+    ("preimage --construction general --geometry linear --dim 3 "
+     '--target ["100","010","001"]', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('preimage --construction general --geometry affine --dim 3 '
+     '--target ["010"]', 0,
+     "fabff3ee5dfd2de69f9a111038385a9d7a80603fd47d6e208fc7ad3f61bb91fa"),
+    ("preimage --construction general --geometry linear --dim 4 "
+     '--target ["0000","1000"]', 0,
+     "3c2f72875baa0672a413af7f1d439d04b914ac5bfbd52c24f3a09c4c3597cac5"),
+    ("preimage --construction general --geometry linear --dim 4 "
+     '--target ["1000"] --format table', 0,
+     "0c8fc76cb26cd764c42357c49c27c374c68361fe2132ad9255dffd2f00756a0a"),
+    ("collisions --construction linear --dim 3 --count 10", 0,
+     "4993f876dbbd15815a9eae6a850bfa65386a55f413710f8d2cb80847e6ff0900"),
+    ("collisions --construction linear --dim 1 --count 2 --format table", 0,
+     "f59f2109c6df4be8487e2bba152a8a1dcf5cb520335479d33219b648b88c95ca"),
+    ("collisions --construction general --geometry linear --dim 3 "
+     "--count 6", 0,
+     "c2dca7f993fb93569705a31c2c07955e59042fdd955de6a61021ce5a9dc6f259"),
+    ("collisions --construction general --geometry affine --dim 3 "
+     "--count 4 --format table", 0,
+     "404355b01b6da6f83da976a4ead5e34e280fa62cf287d14063cf692fa0a2197c"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[row[0] for row in GOLDEN])
+def test_surjection_golden_output(argv, code, digest):
+    got_code, out = run_cli(["surjection", *argv.split()])
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_format():
     code, out = run_cli(["orbits", "--dim", "2", "--format", "table"])
     assert code == 0
@@ -159,6 +221,25 @@ def test_config_errors_exit_2():
     assert run_cli(["support", "--file", "/no/such/file.json"])[0] == 2
     assert run_cli(["sigma"])[0] == 2
     assert run_cli(["no-such-command"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["surjection", "verify", "--dim", "0"],
+    ["surjection", "verify", "--dim", "30"],
+    ["surjection", "verify", "--dim", "3", "--max-t", "-1"],
+    ["dichotomy", "--dim", "3", "--set", '["abc"]'],
+    ["sigma", "--ground", "3", "--sets", '[[1,"x"]]'],
+    ["axioms", "--geometry", "linear", "--dim", "3", "--bound", "99"],
+    ["equivariance", "--dim", "11"],
+    ["surjection", "collisions", "--dim", "2", "--count", "0"],
+], ids=" ".join)
+def test_bad_values_exit_2_without_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "ddlab.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ddlab: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_console_entry_point():

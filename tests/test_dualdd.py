@@ -47,10 +47,10 @@ def test_preimage_linear_examples():
     assert trace.source == {0, 1, 2, 4, 6}
     assert dualdd.surject_linear(trace.source, 3) == {1}
 
-    assert dualdd.preimage_linear({0, 3}, 2) == {3}
+    assert dualdd.preimage_linear_trace({0, 3}, 2).source == {3}
 
     with pytest.raises(DimensionExhausted):
-        dualdd.preimage_linear({1, 2}, 3)
+        dualdd.preimage_linear_trace({1, 2}, 3)
 
 
 def test_preimage_linear_cardinality_identity():
@@ -118,7 +118,7 @@ def test_preimage_general_linear_and_affine():
     trace = dualdd.preimage_general_trace(inst, {1})
     assert trace.intersection_ok and trace.unique_max_ok
     assert dualdd.surject_general(inst, trace.source) == {1}
-    assert dualdd.preimage_general(inst, {0}) == {0}
+    assert dualdd.preimage_general_trace(inst, {0}).source == {0}
 
     aff = dualdd.GeneralSurjection.build(pg.affine_operator(4))
     outside = sorted(aff.op.ground - aff.anchor_closure)
@@ -131,7 +131,7 @@ def test_preimage_general_linear_and_affine():
 def test_preimage_general_ground_exhausted():
     inst = dualdd.GeneralSurjection.build(pg.linear_operator(3))
     with pytest.raises(GroundExhausted):
-        dualdd.preimage_general(inst, {1, 2, 4})
+        dualdd.preimage_general_trace(inst, {1, 2, 4})
 
 
 def test_cache_incomplete():
@@ -145,12 +145,13 @@ def test_cache_incomplete():
 
 
 def test_collision_pairs_linear():
-    assert dualdd.collision_pairs(2, 1) \
+    assert dualdd.collision_pairs(dualdd.LinearSurjection(2), 1) \
         == [(frozenset({0}), frozenset({0, 1}))]
-    pairs = dualdd.collision_pairs(1, 2)
+    pairs = dualdd.collision_pairs(dualdd.LinearSurjection(1), 2)
     assert pairs == [(frozenset({0}), frozenset({0, 1})),
                      (frozenset({0, 1}), frozenset({0}))]
-    for first, second in dualdd.collision_pairs(3, 10):
+    for first, second in dualdd.collision_pairs(
+            dualdd.LinearSurjection(3), 10):
         assert first != second
         assert dualdd.surject_linear(first, 3) \
             == dualdd.surject_linear(second, 3)

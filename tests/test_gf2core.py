@@ -198,12 +198,3 @@ def test_vector_serialization_round_trip():
         assert gf2core.vector_from_bits(text) == (v, d)
     with pytest.raises(ValueError):
         gf2core.vector_from_bits("01x")
-
-
-def test_vecset_json_round_trip():
-    obj = gf2core.vecset_to_json({5, 2}, 3)
-    assert obj == {"dim": 3, "vectors": ["010", "101"]}
-    members, dim = gf2core.vecset_from_json(obj)
-    assert members == {5, 2} and dim == 3
-    with pytest.raises(ValueError):
-        gf2core.vecset_from_json({"dim": 4, "vectors": ["010"]})
