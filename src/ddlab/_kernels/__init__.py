@@ -4,7 +4,8 @@ The compiled backend is the Cython module ``_gf2ext``.  When no installed
 build of it imports, the generated C source checked in beside it,
 ``_gf2ext.c``, is compiled once with the interpreter's own ``sysconfig``
 toolchain into ``$XDG_CACHE_HOME/ddlab/`` (default ``~/.cache/ddlab/``) and
-loaded from there as ``ddlab._kernels._gf2ext``.  When that is impossible
+loaded from there as ``ddlab._kernels._gf2ext``; a build removes the cached
+builds of other versions of the source.  When that is impossible
 too (no compiler, no ``Python.h``, a failed build), the pure-Python twin
 ``_pure`` is used; importing this package never fails for want of a
 compiler.
@@ -14,6 +15,7 @@ then attempted.  ``BACKEND`` is ``"cython"`` or ``"pure"``;
 ``BACKEND_DETAIL`` says in one line which path ran and, for ``"pure"``, why.
 """
 
+import contextlib
 import hashlib
 import importlib.util
 import os
@@ -93,6 +95,14 @@ def _load_compiled():
     target = _cache_dir() / f"_gf2ext-{digest}{suffix}"
     if not target.exists():
         _compile(target)
+        # builds of other _gf2ext.c versions for this interpreter are
+        # never loaded again; builds for other interpreters are kept.  A
+        # build that cannot be removed costs disk space, not the backend.
+        for stale in target.parent.iterdir():
+            if (stale != target and stale.name.startswith("_gf2ext-")
+                    and stale.name.endswith(suffix)):
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     spec = importlib.util.spec_from_file_location(_EXT_NAME, target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

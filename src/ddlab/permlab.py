@@ -14,6 +14,21 @@ from .errors import IntermediateAssertFailed
 from .gf2core import LinearMap, check_dim, check_vectors, fixing_linear_map, span
 
 
+class _ImageTable(dict):
+    """x -> pi(x) for a linear map pi, each image computed on first lookup,
+    so a table costs only the vectors its sets actually contain."""
+
+    __slots__ = ("pi",)
+
+    def __init__(self, pi: LinearMap):
+        super().__init__()
+        self.pi = pi
+
+    def __missing__(self, x: int) -> int:
+        y = self[x] = self.pi.apply(x)
+        return y
+
+
 class OrbitPartition:
     """Orbits of the pointwise stabilizer of span(fixed) in GL(d, 2):
     each span vector is a singleton, everything else is one block, with
@@ -29,7 +44,11 @@ class OrbitPartition:
         if self.complement:
             blocks.append(self.complement)
         self.blocks = tuple(sorted(blocks, key=min))
+        # bit v of a 2^dim-bit mask stands for the vector v
+        self.complement_mask = sum(1 << v for v in self.complement)
         self._maps: dict[tuple[int, int], LinearMap] = {}
+        self._moves: dict[tuple[int, int],
+                          tuple[DichotomyResult, _ImageTable]] = {}
         ordered = sorted(self.complement)
         self.witnesses = tuple(self.moving_map(u, v)
                                for u, v in zip(ordered, ordered[1:]))
@@ -41,6 +60,19 @@ class OrbitPartition:
         if hit is None:
             hit = fixing_linear_map(self.fixed, u, v, self.dim)
             self._maps[key] = hit
+        return hit
+
+    def moving_result(self, u: int, v: int
+                      ) -> tuple[DichotomyResult, _ImageTable]:
+        """The not-invariant result moving u to v and its witness's image
+        table, built on first use and shared by every set moved through
+        the same pair."""
+        key = (u, v)
+        hit = self._moves.get(key)
+        if hit is None:
+            pi = self.moving_map(u, v)
+            hit = (DichotomyResult("not-invariant", pi, key), _ImageTable(pi))
+            self._moves[key] = hit
         return hit
 
     def is_orbit_union(self, subset: frozenset[int]) -> bool:
@@ -67,24 +99,43 @@ def stabilizer_orbits(fixed: Iterable[int], dim: int) -> OrbitPartition:
     return OrbitPartition(dim, fixed)
 
 
+_SUBSET_OF_SPAN = DichotomyResult("subset-of-span")
+_COMPLEMENT_SUBSET_OF_SPAN = DichotomyResult("complement-subset-of-span")
+
+
 def check_dichotomy(subset: Iterable[int], fixed: Iterable[int], dim: int,
                     orbits: OrbitPartition | None = None) -> DichotomyResult:
     """Invariant sets split cleanly: inside the span, or containing its
-    whole complement.  Non-invariant sets get a verified moving map."""
+    whole complement.  Non-invariant sets get a verified moving map.
+
+    The subset is classified as a 2^dim-bit mask, and the moving map is
+    re-checked on every set through its witness's image table."""
     if orbits is None:
         orbits = stabilizer_orbits(fixed, dim)
-    b = frozenset(check_vectors(subset, dim))
-    inter = b & orbits.complement
+    vectors = tuple(subset)
+    size = 1 << dim
+    mask = 0
+    for x in vectors:
+        if not 0 <= x < size:
+            raise ValueError(f"vector {x} out of range for dim {dim}")
+        mask |= 1 << x
+    complement = orbits.complement_mask
+    inter = mask & complement
     if not inter:
-        return DichotomyResult("subset-of-span")
-    if inter == orbits.complement:
-        return DichotomyResult("complement-subset-of-span")
-    u = min(inter)
-    v = min(orbits.complement - b)
-    pi = orbits.moving_map(u, v)
-    if pi.apply_set(b) == b:
+        return _SUBSET_OF_SPAN
+    if inter == complement:
+        return _COMPLEMENT_SUBSET_OF_SPAN
+    outside = complement & ~mask
+    # lowest set bits: the least moved member and the least free target
+    u = (inter & -inter).bit_length() - 1
+    v = (outside & -outside).bit_length() - 1
+    result, images = orbits.moving_result(u, v)
+    image = 0
+    for x in vectors:
+        image |= 1 << images[x]
+    if image == mask:
         raise IntermediateAssertFailed("moving map failed to move the set")
-    return DichotomyResult("not-invariant", pi, (u, v))
+    return result
 
 
 def random_invertible(dim: int, rng: random.Random) -> LinearMap:

@@ -284,12 +284,20 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     if not max_closed <= max_extension <= op.size:
         raise ValueError("need max_closed <= max_extension <= ground size")
     closed_all = op.closed_sets_upto(max_extension)
+    families: dict[frozenset[int], frozenset[frozenset[int]]] = {}
+
+    def family_of(closed: frozenset[int]) -> frozenset[frozenset[int]]:
+        hit = families.get(closed)
+        if hit is None:
+            hit = families[closed] = _closed_subsets_of(op, closed)
+        return hit
+
     bad = []
     checked = 0
     for ambient in closed_all:
         if len(ambient) > max_closed:
             continue
-        family = _closed_subsets_of(op, ambient)
+        family = family_of(ambient)
         if math.factorial(len(ambient)) > perm_budget:
             raise SearchBudgetExceeded(
                 f"permutation search over {len(ambient)}!",
@@ -308,7 +316,7 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
             hit = extends_cache.get(key)
             if hit is None:
                 hit = all(
-                    _extends_to(op, mapping, u, _closed_subsets_of(op, u),
+                    _extends_to(op, mapping, u, family_of(u),
                                 perm_budget, instance)
                     for u in supersets)
                 extends_cache[key] = hit

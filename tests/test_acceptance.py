@@ -23,7 +23,8 @@ _STATE = {"c6_round_trips": None, "c9_formulas": None}
 
 
 def _ok(number, detail):
-    print(f"PASS criterion {number}: {detail}")
+    print(f"PASS criterion {number} (kernel backend {_kernels.BACKEND}): "
+          f"{detail}")
 
 
 def _round_trip(formula):
@@ -64,8 +65,7 @@ def test_02_preimage_round_trips_exhaustively():
         f"{elapsed:.1f}s on kernel backend {_kernels.BACKEND} "
         f"({_kernels.BACKEND_DETAIL})")
     _ok(2, f"d=5:{counts[5]} and d=7:{counts[7]} targets recovered, "
-           f"zero failures ({elapsed:.1f}s, kernel backend "
-           f"{_kernels.BACKEND})")
+           f"zero failures ({elapsed:.1f}s)")
 
 
 def test_03_axiom_checkers_on_linear_and_affine():

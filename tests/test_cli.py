@@ -210,6 +210,60 @@ def test_surjection_golden_output(argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the same for orbits and dichotomy, recorded before the dichotomy moved to
+# bitmasks
+ORBIT_GOLDEN = (
+    ("orbits --dim 1", 0,
+     "41477a643acf3a8cc8ea2958fcda82016f823796652f468c318682010619cd55"),
+    ('orbits --dim 2 --fixed ["10"]', 0,
+     "551ec0c94aafa3d4be50edd4c5e767e9b0bf1de4d2d630b6b5e34e737117ddb3"),
+    ("orbits --dim 3 --format table", 0,
+     "c9b8ef5505fdb38c9d9f8ef89f78bb8b9a2a2f58312b19a97471f76680c5c51d"),
+    ('orbits --dim 5 --fixed ["10000","01100"]', 0,
+     "e56416f73923971be1099da45cf27ad5b0a20e934861f66187d8821020fd78b3"),
+    ('orbits --dim 5 --fixed ["00001","00010","00100","01000","10000"] '
+     "--format table", 0,
+     "0a77f467cde7f956211ba6ea7d8254b1f4dc23a37e480cadab078c45ad611483"),
+    # subset-of-span: the empty set, then a set inside a 2-dimensional span
+    ("dichotomy --dim 3 --set []", 0,
+     "863ff5f0c229ae3b3f31f098324c7faae0a9fa3ef31431e8791b5903d8d1142b"),
+    ('dichotomy --dim 3 --fixed ["100","010"] --set ["000","110","010"]', 0,
+     "370e443418030986fe7560b4eebcf8da9017282a2a9d19ff7e247936ba3c289a"),
+    # complement-subset-of-span, with and without a span member
+    ('dichotomy --dim 3 --fixed ["100"] '
+     '--set ["000","010","110","001","101","011","111"]', 0,
+     "a82bf7b70d48781b92f958a879f9533b27501a9608ecbd1b87743204e383314f"),
+    ('dichotomy --dim 3 --set ["100","010","110","001","101","011","111"] '
+     "--format table", 0,
+     "912665ecc7ea6dff5476178050e401eef69b4e4e3a702dd22e3fa6ccb3c9f945"),
+    # not-invariant: the record carries witness_columns and moved
+    ('dichotomy --dim 2 --set ["10"]', 0,
+     "a9969029e048309cfe5904e0941483d3527ded1b5e3509b2f72a97ea3e85aa8a"),
+    ('dichotomy --dim 3 --fixed ["001"] --set ["010","111","001"] '
+     "--format table", 0,
+     "bcc2b9923c86d860062adc8e0655b15db7ba24745a0dac0dcfb51464b75f807a"),
+    ('dichotomy --dim 5 --fixed ["10000","01100"] '
+     '--set ["00000","01100","00011","10101"]', 0,
+     "42adac1582ad20b91602a225b8a5b77e3a6c7f4269e21c80da5d93bca64798f3"),
+    ('dichotomy --dim 5 --fixed ["10000","01100"] --set ["00000","11100"]', 0,
+     "652e1682b6acc3c048fa00a942dfaa5dc872028cffbdcdc14d96a68e3269f15b"),
+    ('dichotomy --dim 5 --fixed ["00101"] '
+     '--set ["00101","11111","01010","10011","01110"] --format table', 0,
+     "e4689aa7d4f6f43074af7a7126a8c393afd078eaf27eeb95927d1944d39ea0ce"),
+    # a vector of the wrong length is a configuration error
+    ('dichotomy --dim 3 --set ["1000"]', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", ORBIT_GOLDEN,
+                         ids=[row[0] for row in ORBIT_GOLDEN])
+def test_orbit_golden_output(argv, code, digest):
+    got_code, out = run_cli(argv.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_format():
     code, out = run_cli(["orbits", "--dim", "2", "--format", "table"])
     assert code == 0

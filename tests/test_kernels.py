@@ -189,6 +189,27 @@ def test_import_builds_compiled_kernels_from_c(tmp_path):
         == (first.st_ino, first.st_mtime_ns)
 
 
+@pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+@pytest.mark.skipif(not HAVE_PYTHON_H, reason="no Python.h")
+def test_build_prunes_stale_builds(tmp_path):
+    cache = tmp_path / "ddlab"
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    stale = cache / f"_gf2ext-0000000000000000{suffix}"
+    other = cache / "_gf2ext-0000000000000000.other-interpreter.so"
+    stale.write_bytes(b"a build of an older _gf2ext.c")
+    other.write_bytes(b"a build for another interpreter")
+    backend, detail = _select_backend(tmp_path)
+    assert backend == "cython", detail
+    built = sorted(p for p in cache.iterdir() if p != other)
+    assert len(built) == 1 and built[0] != stale
+    assert str(built[0]) in detail and other.exists()
+    # a warm import loads the cached module and removes nothing
+    stale.write_bytes(b"planted after the build")
+    assert _select_backend(tmp_path) == (backend, detail)
+    assert sorted(cache.iterdir()) == sorted([built[0], stale, other])
+
+
 def test_pure_opt_out_builds_nothing(tmp_path):
     backend, detail = _select_backend(tmp_path, DDLAB_PURE="1")
     assert (backend, detail) == ("pure", "pure: DDLAB_PURE is set")
