@@ -1,5 +1,3 @@
-import os
-
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
@@ -26,19 +24,6 @@ class OptionalBuildExt(build_ext):
                   "using pure-Python fallback")
 
 
-extensions = []
-if not os.environ.get("DDLAB_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        extensions = cythonize(
-            [Extension("ddlab._kernels._gf2ext",
-                       ["src/ddlab/_kernels/_gf2ext.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        # the generated C is checked in beside the .pyx; build it directly
-        extensions = [Extension("ddlab._kernels._gf2ext",
-                                ["src/ddlab/_kernels/_gf2ext.c"])]
-
-setup(ext_modules=extensions, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("ddlab._kernels._gf2ext",
+                             ["src/ddlab/_kernels/_gf2ext.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

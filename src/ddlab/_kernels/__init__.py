@@ -1,18 +1,19 @@
 """Kernel backend selection: compiled extension with pure-Python fallback.
 
-The compiled backend is the Cython module ``_gf2ext``.  When no installed
-build of it imports, the generated C source checked in beside it,
-``_gf2ext.c``, is compiled once with the interpreter's own ``sysconfig``
-toolchain into ``$XDG_CACHE_HOME/ddlab/`` (default ``~/.cache/ddlab/``) and
-loaded from there as ``ddlab._kernels._gf2ext``; a build removes the cached
-builds of other versions of the source.  When that is impossible
-too (no compiler, no ``Python.h``, a failed build), the pure-Python twin
-``_pure`` is used; importing this package never fails for want of a
-compiler.
+The compiled backend is ``_gf2ext``, a hand-written CPython extension whose
+one source file, ``_gf2ext.c``, lives in this package.  When no installed
+build of it imports, that file is compiled once with the interpreter's own
+``sysconfig`` toolchain into ``$XDG_CACHE_HOME/ddlab/`` (default
+``~/.cache/ddlab/``) and loaded from there as ``ddlab._kernels._gf2ext``; a
+build removes the cached builds of other versions of the source.  When that is impossible too (no compiler,
+no ``Python.h``, a failed build), the pure-Python twin ``_pure`` is used;
+importing this package never fails for want of a compiler.
 
 Set DDLAB_PURE=1 in the environment to force the pure backend; no build is
-then attempted.  ``BACKEND`` is ``"cython"`` or ``"pure"``;
-``BACKEND_DETAIL`` says in one line which path ran and, for ``"pure"``, why.
+then attempted.  ``BACKEND`` is ``"cython"`` (the compiled backend's name
+from when it was generated with Cython, kept for the scripts that read it)
+or ``"pure"``; ``BACKEND_DETAIL`` says in one line which path ran and, for
+``"pure"``, why.
 """
 
 import contextlib
@@ -125,7 +126,6 @@ else:
 gf2_rank = _impl.gf2_rank
 rref_basis = _impl.rref_basis
 span_members = _impl.span_members
-subspaces_within = _impl.subspaces_within
 union_of_max_subspaces = _impl.union_of_max_subspaces
 
 __all__ = [
@@ -134,6 +134,5 @@ __all__ = [
     "gf2_rank",
     "rref_basis",
     "span_members",
-    "subspaces_within",
     "union_of_max_subspaces",
 ]

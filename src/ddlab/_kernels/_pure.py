@@ -51,21 +51,6 @@ def _grow_subspaces(mset, nonzero, span, last, visit):
             _grow_subspaces(mset, nonzero, span | set(coset), v, visit)
 
 
-def subspaces_within(members):
-    """Every GF(2)-subspace contained in the given set, each exactly once.
-
-    Returns a list of sorted member tuples; empty if 0 is missing.
-    """
-    mset = set(members)
-    if 0 not in mset:
-        return []
-    nonzero = sorted(v for v in mset if v)
-    found = []
-    _grow_subspaces(mset, nonzero, {0}, 0,
-                    lambda span: found.append(tuple(sorted(span))))
-    return found
-
-
 def union_of_max_subspaces(members):
     """Union of all maximum-cardinality subspaces inside the set.
 

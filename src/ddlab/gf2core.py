@@ -254,8 +254,9 @@ def fixing_linear_map(fixed: Iterable[int], u: int, v: int, dim: int) -> LinearM
 
 def vector_to_bits(v: int, dim: int) -> str:
     """Serialize a vector as a binary string, coordinate 0 leftmost."""
-    check_vectors((v,), dim)
-    return "".join("1" if v >> i & 1 else "0" for i in range(dim))
+    if not 0 <= v < (1 << dim):
+        raise ValueError(f"vector {v} out of range for dim {dim}")
+    return format(v, f"0{dim}b")[::-1]
 
 
 def vector_from_bits(text: str) -> tuple[int, int]:

@@ -243,9 +243,16 @@ def _closed_subsets_of(op: ClosureOperator, ambient: frozenset[int]
     return frozenset(out)
 
 
+def _small_first(closed: frozenset[int]) -> tuple[int, list[int]]:
+    return len(closed), sorted(closed)
+
+
 def _preserves_family(mapping: dict[int, int],
-                      family: frozenset[frozenset[int]]) -> bool:
-    for closed in family:
+                      family: frozenset[frozenset[int]],
+                      order: list[frozenset[int]]) -> bool:
+    """Does mapping carry every member of family, tried in `order`, into
+    family?"""
+    for closed in order:
         if frozenset(mapping[x] for x in closed) not in family:
             return False
     return True
@@ -253,19 +260,20 @@ def _preserves_family(mapping: dict[int, int],
 
 def _extends_to(op: ClosureOperator, mapping: dict[int, int],
                 ambient: frozenset[int], family: frozenset[frozenset[int]],
+                small_first: list[frozenset[int]],
                 perm_budget: int, instance) -> bool:
     """Does mapping extend to a permutation of ambient preserving its
     closed-subset family?  (Preserving that family is equivalent to
-    preserving cl on subsets of a closed ambient set.)"""
+    preserving cl on subsets of a closed ambient set.)  `small_first` is
+    the same family, smallest sets first."""
     rest = sorted(ambient - mapping.keys())
     if math.factorial(len(rest)) > perm_budget:
         raise SearchBudgetExceeded(
             f"extension search over {len(rest)}! permutations", instance)
-    small_first = sorted(family, key=lambda c: (len(c), sorted(c)))
     for image in permutations(rest):
         full = dict(mapping)
         full.update(zip(rest, image))
-        if _preserves_family(full, small_first):
+        if _preserves_family(full, family, small_first):
             return True
     return False
 
@@ -284,12 +292,16 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     if not max_closed <= max_extension <= op.size:
         raise ValueError("need max_closed <= max_extension <= ground size")
     closed_all = op.closed_sets_upto(max_extension)
-    families: dict[frozenset[int], frozenset[frozenset[int]]] = {}
+    families: dict[frozenset[int], tuple[frozenset[frozenset[int]],
+                                         list[frozenset[int]]]] = {}
 
-    def family_of(closed: frozenset[int]) -> frozenset[frozenset[int]]:
+    def family_of(closed: frozenset[int]):
+        """The closed subsets of `closed`: as a set, and smallest first."""
         hit = families.get(closed)
         if hit is None:
-            hit = families[closed] = _closed_subsets_of(op, closed)
+            family = _closed_subsets_of(op, closed)
+            hit = families[closed] = (family,
+                                      sorted(family, key=_small_first))
         return hit
 
     bad = []
@@ -297,7 +309,7 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     for ambient in closed_all:
         if len(ambient) > max_closed:
             continue
-        family = family_of(ambient)
+        family, small_first = family_of(ambient)
         if math.factorial(len(ambient)) > perm_budget:
             raise SearchBudgetExceeded(
                 f"permutation search over {len(ambient)}!",
@@ -306,7 +318,7 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
         candidates = []
         for image in permutations(labels):
             mapping = dict(zip(labels, image))
-            if _preserves_family(mapping, family):
+            if _preserves_family(mapping, family, small_first):
                 candidates.append(mapping)
         supersets = [u for u in closed_all if ambient <= u]
         extends_cache: dict[tuple, bool] = {}
@@ -316,13 +328,13 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
             hit = extends_cache.get(key)
             if hit is None:
                 hit = all(
-                    _extends_to(op, mapping, u, family_of(u),
+                    _extends_to(op, mapping, u, *family_of(u),
                                 perm_budget, instance)
                     for u in supersets)
                 extends_cache[key] = hit
             return hit
 
-        for fixed in sorted(family, key=lambda s: (len(s), sorted(s))):
+        for fixed in small_first:
             movable = sorted(ambient - fixed)
             for a in movable:
                 for b in movable:

@@ -198,3 +198,12 @@ def test_vector_serialization_round_trip():
         assert gf2core.vector_from_bits(text) == (v, d)
     with pytest.raises(ValueError):
         gf2core.vector_from_bits("01x")
+
+
+def test_vector_to_bits_rejects_out_of_range():
+    assert gf2core.vector_to_bits(0, 3) == "000"
+    assert gf2core.vector_to_bits(7, 3) == "111"
+    for v in (-1, 8, 1 << 24):
+        with pytest.raises(ValueError,
+                           match=f"^vector {v} out of range for dim 3$"):
+            gf2core.vector_to_bits(v, 3)
