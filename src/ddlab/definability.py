@@ -58,11 +58,6 @@ class Relation:
                         frozenset(tuple(perm[x] for x in t)
                                   for t in self.tuples))
 
-    def apply_transposition(self, i: int, j: int) -> "Relation":
-        perm = list(range(self.n))
-        perm[i], perm[j] = j, i
-        return self.apply_perm(perm)
-
     def section(self, a: int) -> "Relation":
         """The arity-(k-1) slice at first coordinate a."""
         if self.k < 2:
@@ -71,18 +66,40 @@ class Relation:
                         frozenset(t[1:] for t in self.tuples if t[0] == a))
 
 
+def _preserved(rel: Relation, a: int, b: int) -> bool:
+    """True when the transposition (a b) maps the relation onto itself.
+    It fixes every tuple without a or b and is a bijection, so it is
+    enough that each tuple it moves lands in the relation."""
+    swap = {a: b, b: a}
+    return all(tuple(map(swap.get, t, t)) in rel.tuples
+               for t in rel.tuples if a in t or b in t)
+
+
+def _transposition_classes(rel: Relation) -> list[list[int]]:
+    """The classes of the points under "(a b) preserves the relation".
+    This is an equivalence, because (b c) = (a b)(a c)(a b) (Dixon and
+    Mortimer, Permutation Groups, GTM 163, 1996), so each point is tested
+    against one representative per class."""
+    classes: list[list[int]] = []
+    for x in range(rel.n):
+        for cls in classes:
+            if _preserved(rel, cls[0], x):
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
 def is_support(rel: Relation, members: Iterable[int]) -> bool:
-    """True when every transposition of two points outside `members`
-    preserves the relation.  Such transpositions generate the pointwise
-    stabilizer whenever at least two points are outside; with fewer, the
+    """True when every permutation fixing `members` pointwise preserves
+    the relation, that is, when the points outside lie in one
+    transposition class.  The transpositions from the first outside point
+    to each other one decide this; with fewer than two points outside the
     stabilizer is trivial and the check is vacuous."""
     e = frozenset(members)
-    outside = sorted(set(range(rel.n)) - e)
-    for i, a in enumerate(outside):
-        for b in outside[i + 1:]:
-            if rel.apply_transposition(a, b).tuples != rel.tuples:
-                return False
-    return True
+    outside = [x for x in range(rel.n) if x not in e]
+    return all(_preserved(rel, outside[0], b) for b in outside[1:])
 
 
 @dataclass(frozen=True)
@@ -99,45 +116,19 @@ class MinimalSupport:
 
 
 def minimal_support(rel: Relation) -> MinimalSupport:
-    """Smallest parameter set whose outside transpositions all preserve
-    the relation; ambiguity is flagged when several minima coexist and
-    the intersection rule cannot separate them."""
+    """Smallest parameter sets that support the relation.  A set supports
+    it exactly when its complement lies in one transposition class, so
+    the minima are the complements of the largest classes, listed in
+    `candidates` by `sorted`; `ambiguous` flags two or more classes tied
+    for largest, and `members` is the first candidate."""
     if rel.n < 2:
         raise ValueError("need a ground set of at least 2")
-    ground = range(rel.n)
-    preserved = {}
-    for a, b in combinations(ground, 2):
-        preserved[(a, b)] = (rel.apply_transposition(a, b).tuples
-                             == rel.tuples)
-
-    def supports(members: frozenset[int]) -> bool:
-        outside = [x for x in ground if x not in members]
-        return all(preserved[(a, b)]
-                   for i, a in enumerate(outside) for b in outside[i + 1:])
-
-    for size in range(rel.n + 1):
-        found = [frozenset(c) for c in combinations(ground, size)
-                 if supports(frozenset(c))]
-        if not found:
-            continue
-        if len(found) == 1:
-            return MinimalSupport(found[0], False, tuple(found))
-        # closure under intersection where enough points remain outside
-        pool = set(found)
-        changed = True
-        while changed:
-            changed = False
-            for e1, e2 in combinations(sorted(pool, key=sorted), 2):
-                if rel.n - len(e1 | e2) >= 2:
-                    meet = e1 & e2
-                    if meet not in pool and supports(meet):
-                        pool.add(meet)
-                        changed = True
-        best = min(len(e) for e in pool)
-        minima = sorted((e for e in pool if len(e) == best),
-                        key=lambda e: sorted(e))
-        return MinimalSupport(minima[0], len(minima) > 1, tuple(minima))
-    raise IntermediateAssertFailed("the full ground set must be a support")
+    classes = _transposition_classes(rel)
+    largest = max(len(cls) for cls in classes)
+    ground = frozenset(range(rel.n))
+    minima = sorted((ground.difference(cls) for cls in classes
+                     if len(cls) == largest), key=sorted)
+    return MinimalSupport(minima[0], len(minima) > 1, tuple(minima))
 
 
 @dataclass(frozen=True)
@@ -148,10 +139,6 @@ class SupportChain:
     start: int
     levels: tuple[frozenset[int], ...]
     members: frozenset[int]
-
-    @property
-    def stabilized_at(self) -> int:
-        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,80 @@ def test_orbit_golden_output(argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the same for support and synth, each row with the text of its --file;
+# recorded before minimal supports came from transposition classes
+BLOCKS_3_3 = json.dumps({"n": 6, "k": 2, "tuples": [
+    [a, b] for lo in (0, 3) for a in range(lo, lo + 3)
+    for b in range(lo, lo + 3)]})
+PATH_5 = '{"n": 5, "k": 2, "tuples": [[0,1],[1,2],[2,3]]}'
+POINT_7 = '{"n": 7, "k": 1, "tuples": [[3]]}'
+DEFINABILITY_GOLDEN = (
+    ("support", POINT_7, 0,
+     "ecf4955d206b7600cb647778e311e14d356f7197daff463a8e997218aaa6bc32"),
+    # two classes of 3 tie for largest: ambiguous
+    ("support --format table", BLOCKS_3_3, 0,
+     "f93e06d93276123fe3f47e9671b7beddbe5587bea8abab250ffd03f6ccf1be6b"),
+    ("support", PATH_5, 0,
+     "881b6e05cde2c5ba91a308926a0130a5ffc3ffde86ec60129073bb57b1347827"),
+    ("support", '{"n": 4, "k": 3, "tuples": [[0,1,2],[1,0,2],[3,3,3]]}', 0,
+     "2cb438e333d580dbf35c5915f6dbb1d53a30e639d86c0495690df33618939ca7"),
+    # the recursive construction completes
+    ("support --compare", '{"n": 6, "k": 2, "tuples": [[0,1],[1,0]]}', 0,
+     "0dba3ce6dc774a1310f34f0a8bd06ffe73d64f3daf61353f70ffd3d14e8ce91c"),
+    ("support --compare", json.dumps({"n": 7, "k": 2, "tuples": [
+        [0, b] for b in range(1, 7)] + [[a, a] for a in range(1, 7)]}), 0,
+     "35461eae18864c118264129475e0e6f97325b1e1da346d379ed0ac989d0862e4"),
+    ("support --compare --format table",
+     '{"n": 7, "k": 1, "tuples": [[0],[1],[2],[3],[4],[5]]}', 0,
+     "af973ec36769d6760490e4dd259645b03963979c93abb3d13b37f8d78e492d65"),
+    # majority ties at the chain-cardinality and class-majority stages
+    ("support --compare", '{"n": 4, "k": 2, "tuples": [[0,1],[1,0]]}', 0,
+     "5020c4870db9d11039daaa47858e66f026bca8941be69fbb17e69dfbf4d3a95f"),
+    ("support --compare", '{"n": 6, "k": 2, "tuples": '
+     '[[0,1],[2,3],[4,5],[1,0],[3,2],[5,4]]}', 0,
+     "5b0d640bb881bcd142d2a365c221bf13699406e9da9fa1526ef96ce2b9d5c6fc"),
+    ("synth", PATH_5, 0,
+     "f96ccb3308ad34293c06b9c39d28ede180a81caca0b9e2767f70528f0629a04c"),
+    ("synth --format table",
+     '{"n": 5, "k": 2, "tuples": [[0,0],[1,1],[2,2],[3,3],[4,4]]}', 0,
+     "b5f3ae7650631fd26dcd9ca3e33006f1f756496b61171f9f3e8b641e6fcb8aab"),
+    ("synth --support [0,1,2,3]", PATH_5, 0,
+     "f96ccb3308ad34293c06b9c39d28ede180a81caca0b9e2767f70528f0629a04c"),
+    ("synth --support [3]", POINT_7, 0,
+     "b877055dd78eec4e1da1be5855919ac1c9257f60a00c2a4637056686330bcc88"),
+    # not a support: a record with ok false
+    ("synth --support [0]", POINT_7, 1,
+     "e263aad7ea5e7cc439ecb669c9c040a73ef7eeebce14f5257b1d4ca12b70c064"),
+    ("synth --support []", PATH_5, 1,
+     "410ddbf70436e775d101a84c3ac9692469e17accf142c0689f0e2b78fa4d92ff"),
+    # malformed relation files and a label outside the ground set
+    ("support", '{"n": 3, "k": 1, "tuples": [[5]]}', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("synth", '{"n": 3, "k": 2, "tuples": [[0]]}', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("support", '{"n": 3, "k": 1}', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("synth", '{"n": 3, "k": 1, "tuples": [[0]', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("synth --support [9]", POINT_7, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+)
+
+
+@pytest.mark.parametrize("argv,text,code,digest", DEFINABILITY_GOLDEN,
+                         ids=[row[0] for row in DEFINABILITY_GOLDEN])
+def test_definability_golden_output(tmp_path, capsys, argv, text, code,
+                                    digest):
+    path = tmp_path / "rel.json"
+    path.write_text(text)
+    command, *rest = argv.split()
+    got_code, out = run_cli([command, "--file", str(path), *rest])
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if code == 2:
+        assert capsys.readouterr().err.startswith("ddlab: ")
+
+
 def test_table_format():
     code, out = run_cli(["orbits", "--dim", "2", "--format", "table"])
     assert code == 0

@@ -33,6 +33,60 @@ def brute_is_support(rel, members):
     return True
 
 
+def all_pairs_is_support(rel, members):
+    """Oracle: every transposition of two points outside members, applied
+    as a whole permutation, preserves the relation."""
+    outside = sorted(set(range(rel.n)) - set(members))
+    for a, b in combinations(outside, 2):
+        table = list(range(rel.n))
+        table[a], table[b] = b, a
+        if rel.apply_perm(table).tuples != rel.tuples:
+            return False
+    return True
+
+
+def brute_minimal_supports(rel):
+    """Oracle: every smallest parameter set that brute_is_support accepts,
+    in the order of sorted."""
+    for size in range(rel.n + 1):
+        found = [frozenset(c) for c in combinations(range(rel.n), size)
+                 if brute_is_support(rel, c)]
+        if found:
+            return found
+
+
+def block_relation(n, k, block, rng):
+    """A random union of the orbits of k-tuples under the permutations
+    that keep every point in its block (block[x] names the block of x).
+    Such an orbit is fixed by the blocks of the coordinates and by which
+    coordinates are equal."""
+    def orbit(t):
+        first = {}
+        return (tuple(block[x] for x in t),
+                tuple(first.setdefault(x, i) for i, x in enumerate(t)))
+
+    points = list(product(range(n), repeat=k))
+    chosen = {o for o in sorted({orbit(t) for t in points})
+              if rng.random() < 0.5}
+    return rel_of(n, k, [t for t in points if orbit(t) in chosen])
+
+
+def random_relations(rng, count, max_n, max_k):
+    """Seeded relations with 2 <= n <= max_n, 1 <= k <= max_k: half drawn
+    tuple by tuple, half as unions of block orbits, so that transposition
+    classes of every size occur, ties for the largest included."""
+    for i in range(count):
+        n, k = rng.randint(2, max_n), rng.randint(1, max_k)
+        if i % 2:
+            density = rng.random()
+            yield rel_of(n, k, [t for t in product(range(n), repeat=k)
+                                if rng.random() < density])
+        else:
+            blocks = rng.randint(1, n)
+            yield block_relation(
+                n, k, [rng.randrange(blocks) for _ in range(n)], rng)
+
+
 def test_transposition_support_agrees_with_full_stabilizer():
     rng = random.Random(31)
     all_tuples = list(product(range(5), repeat=2))
@@ -42,6 +96,33 @@ def test_transposition_support_agrees_with_full_stabilizer():
             for combo in combinations(range(5), size):
                 assert df.is_support(rel, combo) \
                     == brute_is_support(rel, combo)
+
+
+def test_star_support_agrees_with_all_pairs():
+    for rel in random_relations(random.Random(35), 300, 7, 3):
+        for size in range(rel.n + 1):
+            for combo in combinations(range(rel.n), size):
+                assert df.is_support(rel, combo) \
+                    == all_pairs_is_support(rel, combo)
+
+
+def _assert_minimal_support_matches_brute(rel):
+    expected = brute_minimal_supports(rel)
+    ms = df.minimal_support(rel)
+    assert ms.candidates == tuple(expected)
+    assert ms.members == expected[0]
+    assert ms.ambiguous == (len(expected) > 1)
+
+
+def test_minimal_support_agrees_with_brute_force_unary():
+    for mask in range(1 << 7):
+        _assert_minimal_support_matches_brute(
+            rel_of(7, 1, [(v,) for v in range(7) if mask >> v & 1]))
+
+
+def test_minimal_support_agrees_with_brute_force_random():
+    for rel in random_relations(random.Random(36), 200, 6, 3):
+        _assert_minimal_support_matches_brute(rel)
 
 
 def test_minimal_support_examples():
@@ -100,13 +181,36 @@ def test_recursive_support_majority_tie():
     assert info.value.stage == "chain-cardinality"
 
 
+def test_recursive_support_sweep_with_strict_majorities():
+    # unions of equality types over at most two parameters, where strict
+    # majorities exist, unlike the arity-2 relations on 4 points
+    rng = random.Random(37)
+    outcomes = {"supported": 0, "chain-cardinality": 0, "class-majority": 0}
+    for n, k in ((6, 2), (7, 2), (8, 2), (5, 3)):
+        for _ in range(100):
+            params = rng.sample(range(n), rng.randint(0, 2))
+            rel = block_relation(
+                n, k, [x + 1 if x in params else 0 for x in range(n)], rng)
+            try:
+                support = df.recursive_support(rel)
+            except MajorityTie as tie:
+                outcomes[tie.stage] += 1
+                continue
+            outcomes["supported"] += 1
+            assert df.is_support(rel, support)
+            assert all_pairs_is_support(rel, support)
+            assert len(support) >= df.minimal_support(rel).size
+    assert outcomes == {"supported": 358, "chain-cardinality": 14,
+                        "class-majority": 28}
+
+
 def test_recursive_support_chains_recorded():
     rel = rel_of(6, 2, [(0, 1), (1, 0)])
     trace = df.recursive_support_trace(rel)
     chain = trace.chains[0]
     assert chain.levels[0] == {0}
     assert chain.members == {0, 1}
-    assert chain.stabilized_at == 1
+    assert len(chain.levels) - 1 == 1
     assert trace.major == frozenset({2, 3, 4, 5})
     assert trace.members == {0, 1}
 
