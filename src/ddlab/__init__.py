@@ -39,8 +39,7 @@ from .gf2core import (
 )
 from .permlab import (
     check_dichotomy,
-    check_equivariance_general,
-    check_equivariance_linear,
+    check_equivariance,
     stabilizer_orbits,
 )
 from .pregeometry import (

@@ -22,10 +22,6 @@ class ConfigError(Exception):
     pass
 
 
-def _bits(v: int, dim: int) -> str:
-    return gf2core.vector_to_bits(v, dim)
-
-
 def _parse_vectors(text: str, dim: int) -> frozenset[int]:
     try:
         entries = json.loads(text)
@@ -228,7 +224,8 @@ def _cmd_orbits(args):
               "fixed": bits_list(fixed, args.dim),
               "span": bits_list(orbits.fixed_span, args.dim),
               "blocks": [bits_list(b, args.dim) for b in orbits.blocks],
-              "witnesses": len(orbits.witnesses)}
+              # one moving map per consecutive pair of the complement
+              "witnesses": max(len(orbits.complement) - 1, 0)}
     return [record], 0
 
 
@@ -245,24 +242,22 @@ def _cmd_dichotomy(args):
               "set": bits_list(subset, args.dim),
               "classification": result.classification}
     if result.witness is not None:
-        record["witness_columns"] = [_bits(c, args.dim)
+        record["witness_columns"] = [gf2core.vector_to_bits(c, args.dim)
                                      for c in result.witness.cols]
-        record["moved"] = [_bits(result.moved[0], args.dim),
-                           _bits(result.moved[1], args.dim)]
+        record["moved"] = [gf2core.vector_to_bits(v, args.dim)
+                           for v in result.moved]
     return [record], 0
 
 
 def _cmd_equivariance(args):
-    if args.construction == "linear":
-        if args.dim is None:
-            raise ConfigError("equivariance needs --dim")
-        report = permlab.check_equivariance_linear(
-            args.dim, trials=args.trials, seed=args.seed,
-            exhaustive_max_size=args.exhaustive_max_size)
-    else:
-        inst = _general_construction(args)
-        report = permlab.check_equivariance_general(
-            inst, trials=args.trials, seed=args.seed)
+    if args.dim is None:
+        raise ConfigError("equivariance needs --dim")
+    permlab.validate_equivariance(args.dim, args.trials,
+                                  args.exhaustive_max_size)
+    construction = CONSTRUCTIONS[args.construction](args)
+    report = permlab.check_equivariance(
+        construction, trials=args.trials, seed=args.seed,
+        exhaustive_max_size=args.exhaustive_max_size)
     return [report.to_json()], report.failures
 
 

@@ -10,9 +10,10 @@ staying at the finite-subset level.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import _kernels
 from .errors import (
@@ -23,7 +24,14 @@ from .errors import (
     GroundExhausted,
     IntermediateAssertFailed,
 )
-from .gf2core import bits_list, check_dim, check_vectors, extend_independent
+from .gf2core import (
+    all_invertible,
+    bits_list,
+    check_dim,
+    check_vectors,
+    extend_independent,
+    random_invertible,
+)
 from .pregeometry import ClosureOperator, is_independent
 
 
@@ -97,6 +105,7 @@ class LinearSurjection:
         self.points = range(1, 1 << dim)
         self.params = {"construction": "linear", "dim": dim}
         self.sweep_params = self.params
+        self.equivariance_params = {"dim": dim}
 
     def surject(self, subset: Iterable[int]) -> frozenset[int]:
         return surject_linear(subset, self.dim)
@@ -114,6 +123,16 @@ class LinearSurjection:
         """Sets known to collide: the zero subspace and every line, all
         mapping to the empty set."""
         return [frozenset([0])] + [frozenset([0, v]) for v in self.points]
+
+    def sample_map(self, rng: random.Random) -> Callable[[int], int]:
+        """A ground permutation for `permlab.check_equivariance`: one
+        `random_invertible` map (a `LinearMap` is callable on points)."""
+        return random_invertible(self.dim, rng)
+
+    def all_maps(self) -> list[Callable[[int], int]]:
+        """Every invertible linear map as a ground permutation, in
+        `all_invertible` order; exhaustive, so dim <= 4."""
+        return all_invertible(self.dim)
 
 
 def minimal_nondegenerate_set(op: ClosureOperator,
@@ -177,6 +196,7 @@ class GeneralSurjection:
         self.points = sorted(op.ground)
         self.params = {"construction": "general", "geometry": op.kind,
                        "dim": self.dim}
+        self.equivariance_params = {"kind": op.kind, "dim": self.dim}
 
     @classmethod
     def build(cls, op: ClosureOperator,
@@ -213,6 +233,23 @@ class GeneralSurjection:
             if diff:
                 seen.add(diff)
         return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+    def sample_map(self, rng: random.Random) -> Callable[[int], int]:
+        """A closure-preserving ground permutation fixing the anchor
+        pointwise: random invertible maps, each followed for the affine
+        geometry by the translation that returns the least anchor point,
+        drawn until one fixes the whole anchor."""
+        kind = self.op.kind
+        if kind not in ("linear", "affine"):
+            raise ValueError("sampling needs a linear or affine instance")
+        anchor = sorted(self.anchor)
+        while True:
+            m = random_invertible(self.dim, rng)
+            shift = 0
+            if kind == "affine" and anchor:
+                shift = anchor[0] ^ m.apply(anchor[0])
+            if all(m.apply(x) ^ shift == x for x in anchor):
+                return lambda v: m.apply(v) ^ shift
 
     def __repr__(self):
         return (f"GeneralSurjection(kind={self.op.kind!r}, "

@@ -7,7 +7,9 @@ choices use ascending integer order.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -87,6 +89,25 @@ class LinearMap:
 
     def __call__(self, v: int) -> int:
         return self.apply(v)
+
+
+def random_invertible(dim: int, rng: random.Random) -> LinearMap:
+    """Rejection-sample an invertible map from random bit matrices."""
+    while True:
+        cols = tuple(rng.getrandbits(dim) for _ in range(dim))
+        candidate = LinearMap(dim, cols)
+        if candidate.invertible:
+            return candidate
+
+
+def all_invertible(dim: int) -> list[LinearMap]:
+    """Every invertible map on GF(2)^dim, columns in lexicographic order;
+    exhaustive, so dim <= 4."""
+    if dim > 4:
+        raise ValueError("exhaustive GL enumeration limited to dim <= 4")
+    maps = (LinearMap(dim, cols)
+            for cols in product(range(1 << dim), repeat=dim))
+    return [m for m in maps if m.invertible]
 
 
 def span(vectors: Iterable[int], dim: int) -> Subspace:

@@ -1,17 +1,26 @@
 """Group-action laboratory: orbits of pointwise stabilizers in GL(d, 2),
-the invariant-set dichotomy, and equivariance harnesses for the subset
-surjections and for formula synthesis.
+the invariant-set dichotomy, and one equivariance checker for the subset
+surjections.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
-from .dualdd import GeneralSurjection, surject_general, surject_linear
 from .errors import IntermediateAssertFailed
-from .gf2core import LinearMap, check_dim, check_vectors, fixing_linear_map, span
+from .gf2core import (
+    SPAN_BUDGET,
+    LinearMap,
+    check_dim,
+    check_vectors,
+    fixing_linear_map,
+    span,
+)
+
+EQUIVARIANCE_MAX_DIM = 10
 
 
 class _ImageTable(dict):
@@ -31,11 +40,14 @@ class _ImageTable(dict):
 
 class OrbitPartition:
     """Orbits of the pointwise stabilizer of span(fixed) in GL(d, 2):
-    each span vector is a singleton, everything else is one block, with
-    constructive moving-map witnesses."""
+    each span vector is a singleton, everything else is one block.  A
+    moving-map witness is built only when `moving_map` is asked for it."""
 
     def __init__(self, dim: int, fixed: Iterable[int]):
         check_dim(dim)
+        if 1 << dim > SPAN_BUDGET:
+            raise ValueError(f"orbit partitions limited to dim <= "
+                             f"{SPAN_BUDGET.bit_length() - 1}, got {dim}")
         self.dim = dim
         self.fixed = frozenset(check_vectors(fixed, dim))
         self.fixed_span = span(self.fixed, dim).members
@@ -46,21 +58,12 @@ class OrbitPartition:
         self.blocks = tuple(sorted(blocks, key=min))
         # bit v of a 2^dim-bit mask stands for the vector v
         self.complement_mask = sum(1 << v for v in self.complement)
-        self._maps: dict[tuple[int, int], LinearMap] = {}
         self._moves: dict[tuple[int, int],
                           tuple[DichotomyResult, _ImageTable]] = {}
-        ordered = sorted(self.complement)
-        self.witnesses = tuple(self.moving_map(u, v)
-                               for u, v in zip(ordered, ordered[1:]))
 
     def moving_map(self, u: int, v: int) -> LinearMap:
         """A stabilizer element sending u to v (both outside the span)."""
-        key = (u, v)
-        hit = self._maps.get(key)
-        if hit is None:
-            hit = fixing_linear_map(self.fixed, u, v, self.dim)
-            self._maps[key] = hit
-        return hit
+        return fixing_linear_map(self.fixed, u, v, self.dim)
 
     def moving_result(self, u: int, v: int
                       ) -> tuple[DichotomyResult, _ImageTable]:
@@ -74,10 +77,6 @@ class OrbitPartition:
             hit = (DichotomyResult("not-invariant", pi, key), _ImageTable(pi))
             self._moves[key] = hit
         return hit
-
-    def is_orbit_union(self, subset: frozenset[int]) -> bool:
-        inter = subset & self.complement
-        return not inter or inter == self.complement
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class DichotomyResult:
 
 def stabilizer_orbits(fixed: Iterable[int], dim: int) -> OrbitPartition:
     """Orbit partition of GF(2)^dim under maps fixing span(fixed)
-    pointwise, witnessed constructively."""
+    pointwise, with moving maps built on demand."""
     return OrbitPartition(dim, fixed)
 
 
@@ -138,44 +137,6 @@ def check_dichotomy(subset: Iterable[int], fixed: Iterable[int], dim: int,
     return result
 
 
-def random_invertible(dim: int, rng: random.Random) -> LinearMap:
-    """Rejection-sample an invertible map from random bit matrices."""
-    while True:
-        cols = tuple(rng.getrandbits(dim) for _ in range(dim))
-        candidate = LinearMap(dim, cols)
-        if candidate.invertible:
-            return candidate
-
-
-def all_invertible(dim: int) -> list[LinearMap]:
-    """Every invertible map on GF(2)^dim; exhaustive, so dim <= 4."""
-    if dim > 4:
-        raise ValueError("exhaustive GL enumeration limited to dim <= 4")
-    out = []
-    size = 1 << dim
-    def fill(cols):
-        if len(cols) == dim:
-            out.append(LinearMap(dim, tuple(cols)))
-            return
-        for v in range(size):
-            candidate = LinearMap(dim, tuple(cols + [v] +
-                                             [0] * (dim - len(cols) - 1)))
-            if candidate.rank == len(cols) + 1:
-                fill(cols + [v])
-    fill([])
-    return out
-
-
-def _trial_rng(seed: int, index: int) -> random.Random:
-    # seed-split protocol: each trial is determined by (seed, index)
-    return random.Random(seed * 1_000_003 + index)
-
-
-def _random_subset(rng: random.Random, universe: int) -> frozenset[int]:
-    mask = rng.getrandbits(universe)
-    return frozenset(v for v in range(universe) if mask >> v & 1)
-
-
 @dataclass(frozen=True)
 class EquivarianceReport:
     """Outcome of an equivariance run."""
@@ -196,88 +157,74 @@ class EquivarianceReport:
                 "witnesses": [dict(w) for w in self.witnesses]}
 
 
-def check_equivariance_linear(dim: int, trials: int = 0, seed: int = 0,
-                              exhaustive_max_size: int | None = None
-                              ) -> EquivarianceReport:
-    """Check map(f(S)) == f(map(S)) for the linear surjection, either on
-    seeded random (map, S) pairs or exhaustively over all invertible maps
-    and all S up to a size bound."""
-    check_dim(dim)
-    if dim > 10:
-        raise ValueError("equivariance checks limited to dim <= 10")
-    failures = []
-    ran = 0
-    if exhaustive_max_size is not None:
-        from itertools import combinations
+def validate_equivariance(dim: int, trials: int,
+                          exhaustive_max_size: int | None) -> None:
+    """Raise ValueError for a run `check_equivariance` refuses, before
+    any construction is built."""
+    if dim > EQUIVARIANCE_MAX_DIM:
+        raise ValueError(f"equivariance checks limited to dim <= "
+                         f"{EQUIVARIANCE_MAX_DIM}")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    if exhaustive_max_size is not None and exhaustive_max_size < 0:
+        raise ValueError(f"exhaustive max size must be at least 0, "
+                         f"got {exhaustive_max_size}")
 
-        maps = all_invertible(dim)
-        universe = range(1 << dim)
-        for size in range(exhaustive_max_size + 1):
-            for combo in combinations(universe, size):
-                s = frozenset(combo)
-                for pi in maps:
-                    ran += 1
-                    if (surject_linear(pi.apply_set(s), dim)
-                            != pi.apply_set(surject_linear(s, dim))):
-                        failures.append({"set": sorted(s), "map": pi.cols})
-        params = {"dim": dim, "exhaustive_max_size": exhaustive_max_size}
+
+def check_equivariance(construction, trials: int = 0, seed: int = 0,
+                       exhaustive_max_size: int | None = None
+                       ) -> EquivarianceReport:
+    """Check surject(pi(S)) == pi(surject(S)) for a `LinearSurjection` or
+    `GeneralSurjection` and ground permutations pi it supplies, each a
+    callable on points.
+
+    Random mode (`exhaustive_max_size` None): trial i draws, from a
+    generator seeded by (seed, i), first pi with
+    `construction.sample_map`, then S.  Exhaustive mode: every pi of
+    `construction.all_maps()`, which only the linear construction has,
+    against every S of at most `exhaustive_max_size` points.  Each failure
+    is {"trial": index of the (pi, S) case, "set": sorted S, "map": the
+    images of the points 0 .. 2^dim - 1}; the first 20 are kept.
+    """
+    dim = construction.dim
+    validate_equivariance(dim, trials, exhaustive_max_size)
+    if exhaustive_max_size is None:
+        cases = _sampled_cases(construction, trials, seed)
+        params = {**construction.equivariance_params, "seed": seed}
     else:
-        for index in range(trials):
-            rng = _trial_rng(seed, index)
-            pi = random_invertible(dim, rng)
-            s = _random_subset(rng, 1 << dim)
-            ran += 1
-            if (surject_linear(pi.apply_set(s), dim)
-                    != pi.apply_set(surject_linear(s, dim))):
-                failures.append({"trial": index, "set": sorted(s),
-                                 "map": pi.cols})
-        params = {"dim": dim, "seed": seed}
-    return EquivarianceReport("equivariance-linear", params, ran,
-                              len(failures), tuple(failures[:20]))
-
-
-def _sample_closure_map(inst: GeneralSurjection, dim: int,
-                        rng: random.Random) -> dict[int, int]:
-    """A closure-preserving ground permutation fixing the anchor
-    pointwise: a random invertible map, with a translation correction
-    for the affine geometry."""
-    kind = inst.op.kind
-    if kind not in ("linear", "affine"):
-        raise ValueError("sampling needs a linear or affine instance")
-    while True:
-        m = random_invertible(dim, rng)
-        if kind == "linear":
-            if all(m.apply(x) == x for x in inst.anchor):
-                return {v: m.apply(v) for v in range(1 << dim)}
-        else:
-            shift = 0
-            anchor = sorted(inst.anchor)
-            if anchor:
-                shift = anchor[0] ^ m.apply(anchor[0])
-            mapping = {v: m.apply(v) ^ shift for v in range(1 << dim)}
-            if all(mapping[x] == x for x in inst.anchor):
-                return mapping
-
-
-def check_equivariance_general(inst: GeneralSurjection, trials: int,
-                               seed: int = 0) -> EquivarianceReport:
-    """Empirical equivariance of the generalized surjection under sampled
-    closure-preserving permutations fixing the anchor.  Measured only;
-    not asserted as an invariant."""
-    ground = sorted(inst.op.ground)
-    dim = (len(ground) - 1).bit_length()
-    if len(ground) != 1 << dim:
-        raise ValueError("instance ground is not a full GF(2)^d")
-    failures = []
-    for index in range(trials):
-        rng = _trial_rng(seed, index)
-        mapping = _sample_closure_map(inst, dim, rng)
-        s = _random_subset(rng, len(ground))
-        left = frozenset(mapping[x] for x in surject_general(inst, s))
-        right = surject_general(inst, frozenset(mapping[x] for x in s))
+        if not hasattr(construction, "all_maps"):
+            raise ValueError(
+                f"exhaustive equivariance needs the linear construction, "
+                f"not {construction.params['construction']}")
+        maps = construction.all_maps()
+        cases = ((pi, frozenset(combo))
+                 for size in range(exhaustive_max_size + 1)
+                 for combo in combinations(range(1 << dim), size)
+                 for pi in maps)
+        params = {**construction.equivariance_params,
+                  "exhaustive_max_size": exhaustive_max_size}
+    failures = ran = 0
+    kept = []
+    for pi, s in cases:
+        left = construction.surject(frozenset(map(pi, s)))
+        right = frozenset(map(pi, construction.surject(s)))
         if left != right:
-            failures.append({"trial": index, "set": sorted(s)})
+            failures += 1
+            if len(kept) < 20:
+                kept.append({"trial": ran, "set": sorted(s),
+                             "map": [pi(v) for v in range(1 << dim)]})
+        ran += 1
     return EquivarianceReport(
-        "equivariance-general",
-        {"kind": inst.op.kind, "dim": dim, "seed": seed},
-        trials, len(failures), tuple(failures[:20]))
+        "equivariance-" + construction.params["construction"], params, ran,
+        failures, tuple(kept))
+
+
+def _sampled_cases(construction, trials: int, seed: int):
+    """Trial i: a map, then a subset of the 2^dim points, both drawn from
+    one generator seeded by (seed, i) alone."""
+    points = 1 << construction.dim
+    for index in range(trials):
+        rng = random.Random(seed * 1_000_003 + index)
+        pi = construction.sample_map(rng)
+        mask = rng.getrandbits(points)
+        yield pi, frozenset(v for v in range(points) if mask >> v & 1)

@@ -96,26 +96,15 @@ def linear_operator(dim: int) -> ClosureOperator:
 
 
 def affine_operator(dim: int) -> ClosureOperator:
-    """cl = affine hull on GF(2)^dim, via fixed-point iteration of
-    three-term odd sums; non-degenerate geometry."""
+    """cl = affine hull on GF(2)^dim: a0 ^ span{a ^ a0 : a in S} with
+    a0 = min(S), and empty for S empty; non-degenerate geometry."""
 
     def close(subset: frozenset[int]) -> frozenset[int]:
-        hull = set(subset)
-        if len(hull) <= 2:
-            return frozenset(hull)
-        fresh = list(hull)
-        while fresh:
-            additions = set()
-            items = list(hull)
-            for a in fresh:
-                for i, b in enumerate(items):
-                    for c in items[i + 1:]:
-                        s = a ^ b ^ c
-                        if s not in hull:
-                            additions.add(s)
-            hull |= additions
-            fresh = list(additions)
-        return frozenset(hull)
+        if not subset:
+            return frozenset()
+        a0 = min(subset)
+        shifted = sorted(a ^ a0 for a in subset)
+        return frozenset(a0 ^ m for m in _kernels.span_members(shifted))
 
     return ClosureOperator(range(1 << dim), "affine", close)
 

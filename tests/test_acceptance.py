@@ -225,7 +225,9 @@ def test_08_orbit_union_dichotomy_exhaustive():
         orbits = permlab.stabilizer_orbits(fixed, dim)
         for b in all_sets:
             result = permlab.check_dichotomy(b, fixed, dim, orbits=orbits)
-            if orbits.is_orbit_union(b):
+            # a union of orbits meets the complement in nothing or all of it
+            inter = b & orbits.complement
+            if not inter or inter == orbits.complement:
                 unions += 1
                 assert result.invariant
                 assert (b <= orbits.fixed_span
@@ -245,9 +247,11 @@ def test_08_orbit_union_dichotomy_exhaustive():
 
 
 def test_09_equivariance():
-    report = permlab.check_equivariance_linear(2, exhaustive_max_size=3)
+    report = permlab.check_equivariance(dualdd.LinearSurjection(2),
+                                        exhaustive_max_size=3)
     assert report.ok and report.trials == 90
-    report = permlab.check_equivariance_linear(3, trials=1000, seed=SEED)
+    report = permlab.check_equivariance(dualdd.LinearSurjection(3),
+                                        trials=1000, seed=SEED)
     assert report.ok and report.trials == 1000
 
     rng = random.Random(SEED)

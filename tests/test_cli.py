@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ddlab import dualdd
 from ddlab.cli import main
 
 
@@ -338,6 +339,67 @@ def test_definability_golden_output(tmp_path, capsys, argv, text, code,
         assert capsys.readouterr().err.startswith("ddlab: ")
 
 
+# the same for equivariance, recorded before the linear and general
+# checkers became one
+EQUIVARIANCE_GOLDEN = (
+    ("--dim 2 --trials 50", 0,
+     "f36e0190955a2c1ca570c6b3bf5a38e6eb0b3a74246b5398b1d65d6ffca4f7c5"),
+    ("--dim 3 --trials 200 --seed 42", 0,
+     "40faee9177718035b5cf2d72d69d97b64b475e9eeb3cb331b3ce825c55cdcdb3"),
+    ("--dim 6 --trials 100 --seed 5", 0,
+     "0521988bcfb96da57d50397363ffb882fa21327a794b417c689a3bbcd67aa9ed"),
+    ("--dim 4 --trials 25 --seed 3 --format table", 0,
+     "bc0132af97ce8838d3d89b957977cdfdea9f0858b639d17f4ab23ba44e0cb4f8"),
+    # exhaustive: every invertible map against every set up to the size
+    ("--dim 2 --exhaustive-max-size 3", 0,
+     "48f42db83f8b2451a709eb75044fa9ce6837cc2d254827da030d66c29dc7d5fd"),
+    ("--dim 3 --exhaustive-max-size 1 --format table", 0,
+     "6d28d672a943092b84cd42c1edb6c7f309210fe76c71ea0c60fe36036809c907"),
+    ("--construction general --geometry linear --dim 3 --trials 100", 0,
+     "54d6e54393fc46feac171649a12cb1b3a94a24a2b1e11c1ad45d53158f483a82"),
+    ("--construction general --geometry affine --dim 3 --trials 100 "
+     "--seed 7", 0,
+     "89e7181a9f44399f4024204a2499bdb9cc51eb1a80a4c6b531d4c70f731fa3ba"),
+    ("--construction general --geometry affine --dim 4 --trials 30 "
+     "--format table", 0,
+     "f66d94f6e38618377fec631ab01d77369fa2b86fe78d7992f3c8ec599559aad6"),
+    ("--dim 11", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", EQUIVARIANCE_GOLDEN,
+                         ids=[row[0] for row in EQUIVARIANCE_GOLDEN])
+def test_equivariance_golden_output(argv, code, digest):
+    got_code, out = run_cli(["equivariance", *argv.split()])
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "3", "--trials", "40"],
+    ["--dim", "2", "--exhaustive-max-size", "2"],
+    ["--construction", "general", "--geometry", "linear", "--dim", "3",
+     "--trials", "40"],
+], ids=" ".join)
+def test_equivariance_failures_exit_1(monkeypatch, argv):
+    # adjoining the fixed point 1 commutes only with maps fixing 1
+    for cls in (dualdd.LinearSurjection, dualdd.GeneralSurjection):
+        monkeypatch.setattr(cls, "surject",
+                            lambda self, subset: frozenset(subset) | {1})
+    code, out = run_cli(["equivariance", *argv])
+    assert code == 1
+    rec = records(out)[0]
+    assert rec["failures"] > 0
+    assert 0 < len(rec["witnesses"]) == min(rec["failures"], 20)
+    points = 1 << int(argv[argv.index("--dim") + 1])
+    for entry in rec["witnesses"]:
+        assert set(entry) == {"trial", "set", "map"}
+        assert 0 <= entry["trial"] < rec["trials"]
+        assert sorted(entry["map"]) == list(range(points))
+        assert entry["set"] == sorted(set(entry["set"]))
+
+
 def test_table_format():
     code, out = run_cli(["orbits", "--dim", "2", "--format", "table"])
     assert code == 0
@@ -359,6 +421,17 @@ def test_config_errors_exit_2():
     ["sigma", "--ground", "3", "--sets", '[[1,"x"]]'],
     ["axioms", "--geometry", "linear", "--dim", "3", "--bound", "99"],
     ["equivariance", "--dim", "11"],
+    ["equivariance", "--construction", "general", "--geometry", "linear",
+     "--dim", "11"],
+    ["equivariance", "--dim", "3", "--trials", "-5"],
+    ["equivariance", "--construction", "general", "--geometry", "affine",
+     "--dim", "3", "--trials", "-2"],
+    ["equivariance", "--dim", "2", "--exhaustive-max-size", "-1"],
+    ["equivariance", "--dim", "5", "--exhaustive-max-size", "1"],
+    ["equivariance", "--construction", "general", "--geometry", "linear",
+     "--dim", "3", "--exhaustive-max-size", "2"],
+    ["orbits", "--dim", "21"],
+    ["dichotomy", "--dim", "21", "--set", "[]"],
     ["surjection", "collisions", "--dim", "2", "--count", "0"],
 ], ids=" ".join)
 def test_bad_values_exit_2_without_traceback(argv):

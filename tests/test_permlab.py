@@ -5,16 +5,23 @@ from itertools import combinations
 
 import pytest
 
-from ddlab import dualdd, permlab
+from ddlab import dualdd, gf2core, permlab
 from ddlab import pregeometry as pg
 from ddlab.errors import IntermediateAssertFailed
 from ddlab.gf2core import LinearMap, span
 
 
+def is_orbit_union(orbits, subset):
+    """A set is a union of orbits when it meets the complement of the
+    span in nothing or in all of it."""
+    inter = subset & orbits.complement
+    return not inter or inter == orbits.complement
+
+
 def brute_orbits(fixed, dim):
     """Oracle: union-find over every invertible map fixing the span."""
     fixed_span = span(fixed, dim).members
-    stabilizer = [m for m in permlab.all_invertible(dim)
+    stabilizer = [m for m in gf2core.all_invertible(dim)
                   if all(m.apply(w) == w for w in fixed_span)]
     parent = list(range(1 << dim))
 
@@ -55,8 +62,8 @@ def test_orbit_examples():
 def test_orbit_witnesses_verified():
     o = permlab.stabilizer_orbits({1}, 4)
     ordered = sorted(o.complement)
-    assert len(o.witnesses) == len(ordered) - 1
-    for (u, v), pi in zip(zip(ordered, ordered[1:]), o.witnesses):
+    for u, v in zip(ordered, ordered[1:]):
+        pi = o.moving_map(u, v)
         assert pi.apply(u) == v
         for w in o.fixed_span:
             assert pi.apply(w) == w
@@ -80,7 +87,7 @@ def test_check_dichotomy_exhaustive_d2():
             for mask in range(16):
                 b = frozenset(v for v in range(4) if mask >> v & 1)
                 result = permlab.check_dichotomy(b, fixed, 2, orbits=orbits)
-                if orbits.is_orbit_union(b):
+                if is_orbit_union(orbits, b):
                     assert result.invariant
                     assert (b <= orbits.fixed_span
                             or frozenset(range(4)) - b <= orbits.fixed_span)
@@ -194,31 +201,105 @@ def test_check_dichotomy_without_orbits_matches_given():
 
 def test_all_invertible_counts():
     # |GL(d, 2)| = prod (2^d - 2^i)
-    assert len(permlab.all_invertible(1)) == 1
-    assert len(permlab.all_invertible(2)) == 6
-    assert len(permlab.all_invertible(3)) == 168
+    assert len(gf2core.all_invertible(1)) == 1
+    assert len(gf2core.all_invertible(2)) == 6
+    assert len(gf2core.all_invertible(3)) == 168
 
 
 def test_random_invertible_is_seeded():
-    a = permlab.random_invertible(4, random.Random(9))
-    b = permlab.random_invertible(4, random.Random(9))
+    a = gf2core.random_invertible(4, random.Random(9))
+    b = gf2core.random_invertible(4, random.Random(9))
     assert a == b and a.invertible
 
 
 def test_equivariance_linear():
-    report = permlab.check_equivariance_linear(2, exhaustive_max_size=3)
+    report = permlab.check_equivariance(dualdd.LinearSurjection(2),
+                                        exhaustive_max_size=3)
     assert report.ok and report.trials == 6 * 15
-    report = permlab.check_equivariance_linear(3, trials=300, seed=17)
+    report = permlab.check_equivariance(dualdd.LinearSurjection(3),
+                                        trials=300, seed=17)
     assert report.ok
     # identical seeds reproduce identical reports
-    again = permlab.check_equivariance_linear(3, trials=300, seed=17)
+    again = permlab.check_equivariance(dualdd.LinearSurjection(3),
+                                       trials=300, seed=17)
     assert report == again
 
 
 def test_equivariance_general_measured():
     inst = dualdd.GeneralSurjection.build(pg.linear_operator(3))
-    report = permlab.check_equivariance_general(inst, 200, seed=3)
+    report = permlab.check_equivariance(inst, 200, seed=3)
     assert report.trials == 200 and report.failures == 0
     aff = dualdd.GeneralSurjection.build(pg.affine_operator(3))
-    report = permlab.check_equivariance_general(aff, 200, seed=3)
+    report = permlab.check_equivariance(aff, 200, seed=3)
     assert report.failures == 0
+
+
+def test_stabilizer_orbits_builds_no_moving_map(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return gf2core.fixing_linear_map(*args)
+
+    monkeypatch.setattr(permlab, "fixing_linear_map", counting)
+    orbits = permlab.stabilizer_orbits({1}, 12)
+    assert calls == []
+    # a dichotomy builds one map per moved pair, shared by later sets
+    permlab.check_dichotomy({0, 2}, {1}, 12, orbits=orbits)
+    permlab.check_dichotomy({2, 5}, {1}, 12, orbits=orbits)
+    assert calls == [(2, 3)]
+
+
+def test_orbit_partition_capped_before_allocating(monkeypatch):
+    def no_span(*args):
+        raise AssertionError("span built past the cap")
+
+    monkeypatch.setattr(permlab, "span", no_span)
+    with pytest.raises(ValueError, match="limited to dim <= 20"):
+        permlab.stabilizer_orbits(frozenset(), 21)
+    with pytest.raises(ValueError, match="limited to dim <= 20"):
+        permlab.check_dichotomy({1}, frozenset(), 24)
+
+
+def test_equivariance_rejects_bad_requests():
+    linear = dualdd.LinearSurjection(3)
+    general = dualdd.GeneralSurjection.build(pg.linear_operator(3))
+    for construction, kwargs in (
+            (linear, {"trials": -5}),
+            (general, {"trials": -2}),
+            (linear, {"exhaustive_max_size": -1}),
+            (general, {"exhaustive_max_size": 2}),
+            (dualdd.LinearSurjection(11), {"trials": 1})):
+        with pytest.raises(ValueError):
+            permlab.check_equivariance(construction, **kwargs)
+
+
+def _non_equivariant(monkeypatch, cls):
+    # adjoining the fixed point 1 commutes only with maps fixing 1
+    monkeypatch.setattr(cls, "surject",
+                        lambda self, subset: frozenset(subset) | {1})
+
+
+@pytest.mark.parametrize("make,kwargs", [
+    (lambda: dualdd.LinearSurjection(3), {"trials": 60, "seed": 2}),
+    (lambda: dualdd.LinearSurjection(2), {"exhaustive_max_size": 2}),
+    (lambda: dualdd.GeneralSurjection.build(pg.affine_operator(3)),
+     {"trials": 60, "seed": 2}),
+], ids=["linear-random", "linear-exhaustive", "general-affine"])
+def test_equivariance_failure_entries(monkeypatch, make, kwargs):
+    construction = make()
+    _non_equivariant(monkeypatch, type(construction))
+    report = permlab.check_equivariance(construction, **kwargs)
+    assert report.failures > 0 and not report.ok
+    assert len(report.witnesses) == min(report.failures, 20)
+    points = 1 << construction.dim
+    trials = [entry["trial"] for entry in report.witnesses]
+    assert trials == sorted(set(trials)) and trials[-1] < report.trials
+    for entry in report.to_json()["witnesses"]:
+        assert set(entry) == {"trial", "set", "map"}
+        pi, s = entry["map"], entry["set"]
+        assert sorted(pi) == list(range(points))
+        assert s == sorted(set(s)) and all(0 <= x < points for x in s)
+        # the entry reproduces the failure
+        assert (construction.surject(frozenset(pi[x] for x in s))
+                != frozenset(pi[x] for x in construction.surject(s)))
