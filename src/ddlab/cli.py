@@ -1,12 +1,16 @@
 """Batch experiment runner: every verification sweep as a subcommand
 emitting self-describing JSON lines (or a table derived from them).
 
+Each handler yields (record, ok) pairs, ok False for a violation, and
+`main` writes every record as one line the moment it exists.
+
 Exit status: 0 clean, 1 violations found, 2 bad configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from itertools import combinations
@@ -20,6 +24,14 @@ DEFAULT_SEED = 20260811
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other bad configuration:
+    `ddlab: <message>`, then the usage, and exit status 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _parse_vectors(text: str, dim: int) -> frozenset[int]:
@@ -64,11 +76,9 @@ def _make_operator(args) -> pregeometry.ClosureOperator:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad partition JSON: {exc}") from exc
         return pregeometry.degenerate_operator(blocks)
-    if kind == "identity":
-        if args.ground is None:
-            raise ConfigError("--geometry identity needs --ground")
-        return pregeometry.identity_operator(args.ground)
-    raise ConfigError(f"unknown geometry {kind!r}")
+    if args.ground is None:
+        raise ConfigError("--geometry identity needs --ground")
+    return pregeometry.identity_operator(args.ground)
 
 
 def _load_relation(path: str) -> definability.Relation:
@@ -83,28 +93,21 @@ def _cmd_axioms(args):
     op = _make_operator(args)
     t_bound = args.t_bound if args.t_bound is not None else min(4, op.size)
     u_bound = args.u_bound if args.u_bound is not None else min(8, op.size)
+    # all three run before the first record, so a bad bound writes nothing
     reports = [
         pregeometry.check_closure_axioms(op, args.bound),
         pregeometry.check_exchange(op, args.bound),
         pregeometry.check_local_homogeneity(op, t_bound, u_bound),
     ]
-    records = [{"check": "axioms", "geometry": op.kind, "ground": op.size,
-                **r.to_json()} for r in reports]
-    return records, sum(not r.ok for r in reports)
-
-
-def _linear_construction(args) -> dualdd.LinearSurjection:
-    if args.dim is None:
-        raise ConfigError("linear construction needs --dim")
-    return dualdd.LinearSurjection(args.dim)
+    for r in reports:
+        yield ({"check": "axioms", "geometry": op.kind, "ground": op.size,
+                **r.to_json()}, r.ok)
 
 
 def _general_construction(args) -> dualdd.GeneralSurjection:
-    if args.geometry not in ("linear", "affine"):
+    if args.geometry is None:
         raise ConfigError("general construction needs --geometry "
                           "linear or affine")
-    if args.dim is None:
-        raise ConfigError("general construction needs --dim")
     op = _make_operator(args)
     try:
         return dualdd.GeneralSurjection.build(op)
@@ -112,7 +115,7 @@ def _general_construction(args) -> dualdd.GeneralSurjection:
         raise ConfigError(f"cannot build instance: {exc}") from exc
 
 
-CONSTRUCTIONS = {"linear": _linear_construction,
+CONSTRUCTIONS = {"linear": lambda args: dualdd.LinearSurjection(args.dim),
                  "general": _general_construction}
 
 
@@ -122,7 +125,6 @@ def _cmd_surjection_verify(args):
     construction = CONSTRUCTIONS[args.construction](args)
     dim = construction.dim
     params = construction.sweep_params
-    records = []
     for size in range(args.max_t + 1):
         for combo in combinations(construction.points, size):
             target = frozenset(combo)
@@ -139,13 +141,10 @@ def _cmd_surjection_verify(args):
             except DdlabError as exc:
                 record.update(S=None, f_of_S=None, ok=False,
                               skipped=False, error=str(exc))
-            records.append(record)
-    return records, sum(not r["ok"] for r in records)
+            yield record, record["ok"]
 
 
 def _cmd_surjection_preimage(args):
-    if args.target is None:
-        raise ConfigError("preimage needs --target")
     construction = CONSTRUCTIONS[args.construction](args)
     dim = construction.dim
     target = _parse_vectors(args.target, dim)
@@ -153,24 +152,21 @@ def _cmd_surjection_preimage(args):
     record = {"check": "surjection-preimage", **construction.params,
               "T": bits_list(target, dim), "S": bits_list(trace.source, dim),
               **construction.report(trace), "ok": trace.image == target}
-    return [record], 0 if record["ok"] else 1
+    yield record, record["ok"]
 
 
 def _cmd_surjection_collisions(args):
     construction = CONSTRUCTIONS[args.construction](args)
     dim = construction.dim
-    records = []
     pairs = dualdd.collision_pairs(construction, args.count)
     for index, (first, second) in enumerate(pairs):
         image = construction.surject(first)
-        records.append({"check": "surjection-collisions",
-                        "construction": args.construction, "dim": dim,
-                        "index": index,
-                        "S1": bits_list(first, dim),
-                        "S2": bits_list(second, dim),
-                        "image": bits_list(image, dim),
-                        "ok": image == construction.surject(second)})
-    return records, sum(not r["ok"] for r in records)
+        ok = image == construction.surject(second)
+        yield ({"check": "surjection-collisions",
+                "construction": args.construction, "dim": dim,
+                "index": index, "S1": bits_list(first, dim),
+                "S2": bits_list(second, dim),
+                "image": bits_list(image, dim), "ok": ok}, ok)
 
 
 def _cmd_support(args):
@@ -180,7 +176,6 @@ def _cmd_support(args):
               "minimal": sorted(minimal.members),
               "minimal_size": minimal.size,
               "ambiguous": minimal.ambiguous}
-    violations = 0
     if args.compare:
         try:
             recursive = definability.recursive_support(rel)
@@ -195,7 +190,7 @@ def _cmd_support(args):
                           majority_tie=True, tie_stage=exc.stage)
         record["formula_minimal"] = formulas.print_formula(
             definability.synthesize_formula(rel, minimal.members))
-    return [record], violations
+    yield record, True
 
 
 def _cmd_synth(args):
@@ -212,12 +207,10 @@ def _cmd_synth(args):
                       ok=True)
     except DdlabError as exc:
         record.update(formula=None, exact=False, ok=False, error=str(exc))
-    return [record], 0 if record["ok"] else 1
+    yield record, record["ok"]
 
 
 def _cmd_orbits(args):
-    if args.dim is None:
-        raise ConfigError("orbits needs --dim")
     fixed = _parse_vectors(args.fixed, args.dim) if args.fixed else frozenset()
     orbits = permlab.stabilizer_orbits(fixed, args.dim)
     record = {"check": "orbits", "dim": args.dim,
@@ -226,14 +219,10 @@ def _cmd_orbits(args):
               "blocks": [bits_list(b, args.dim) for b in orbits.blocks],
               # one moving map per consecutive pair of the complement
               "witnesses": max(len(orbits.complement) - 1, 0)}
-    return [record], 0
+    yield record, True
 
 
 def _cmd_dichotomy(args):
-    if args.dim is None:
-        raise ConfigError("dichotomy needs --dim")
-    if args.set is None:
-        raise ConfigError("dichotomy needs --set")
     fixed = _parse_vectors(args.fixed, args.dim) if args.fixed else frozenset()
     subset = _parse_vectors(args.set, args.dim)
     result = permlab.check_dichotomy(subset, fixed, args.dim)
@@ -246,24 +235,20 @@ def _cmd_dichotomy(args):
                                      for c in result.witness.cols]
         record["moved"] = [gf2core.vector_to_bits(v, args.dim)
                            for v in result.moved]
-    return [record], 0
+    yield record, True
 
 
 def _cmd_equivariance(args):
-    if args.dim is None:
-        raise ConfigError("equivariance needs --dim")
     permlab.validate_equivariance(args.dim, args.trials,
                                   args.exhaustive_max_size)
     construction = CONSTRUCTIONS[args.construction](args)
     report = permlab.check_equivariance(
         construction, trials=args.trials, seed=args.seed,
         exhaustive_max_size=args.exhaustive_max_size)
-    return [report.to_json()], report.failures
+    yield report.to_json(), report.ok
 
 
 def _cmd_sigma(args):
-    if args.ground is None:
-        raise ConfigError("sigma needs --ground")
     fixed = _parse_labels(args.fixed) if args.fixed else []
     try:
         raw_sets = json.loads(args.sets) if args.sets else []
@@ -283,124 +268,120 @@ def _cmd_sigma(args):
         witness = definability.nonunion_witness(classes, target)
         record["target"] = sorted(set(target))
         record["witness"] = list(witness) if witness else None
-    return [record], 0 if record["bound_ok"] else 1
+    yield record, record["bound_ok"]
 
 
-def _emit(records, args, stream):
-    lines = []
-    for record in records:
-        if args.format == "json":
-            lines.append(json.dumps(record, sort_keys=True))
-        else:
-            lines.append(" ".join(
-                f"{key}={json.dumps(record[key], sort_keys=True)}"
-                for key in sorted(record)))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        stream.write(text)
+def _line(record: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(record, sort_keys=True)
+    return " ".join(f"{key}={json.dumps(record[key], sort_keys=True)}"
+                    for key in sorted(record))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddlab",
         description="finite verification sweeps with JSON-lines output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(group, name, handler, help=None):
+        p = group.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--ground", type=int, default=None)
-        p.add_argument("--geometry",
-                       choices=("linear", "affine", "degenerate", "identity"),
-                       default=None)
-        p.add_argument("--partition", default=None,
-                       help="JSON array of arrays of labels")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("axioms", help="run the pregeometry axiom checkers")
-    common(p)
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--t-bound", type=int, default=None, dest="t_bound")
-    p.add_argument("--u-bound", type=int, default=None, dest="u_bound")
-    p.set_defaults(handler=_cmd_axioms)
-
-    p = sub.add_parser("surjection", help="subset-surjection sweeps")
-    surj = p.add_subparsers(dest="mode", required=True)
-    for mode, handler in (("verify", _cmd_surjection_verify),
-                          ("preimage", _cmd_surjection_preimage),
-                          ("collisions", _cmd_surjection_collisions)):
-        q = surj.add_parser(mode)
-        common(q)
-        q.add_argument("--construction", choices=("linear", "general"),
+    def construction(p):
+        p.add_argument("--construction", choices=CONSTRUCTIONS,
                        default="linear")
-        q.add_argument("--max-t", type=int, default=2, dest="max_t")
-        q.add_argument("--target", default=None,
-                       help="JSON array of bit-strings")
-        q.add_argument("--count", type=int, default=1)
-        q.set_defaults(handler=handler)
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--geometry", choices=("linear", "affine"),
+                       help="the general construction's geometry")
+        return p
 
-    p = sub.add_parser("support", help="minimal and recursive supports")
-    common(p)
+    p = command(sub, "axioms", _cmd_axioms,
+                "run the pregeometry axiom checkers")
+    p.add_argument("--geometry", required=True,
+                   choices=("linear", "affine", "degenerate", "identity"))
+    p.add_argument("--dim", type=int)
+    p.add_argument("--ground", type=int)
+    p.add_argument("--partition", help="JSON array of arrays of labels")
+    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--t-bound", type=int)
+    p.add_argument("--u-bound", type=int)
+
+    surj = sub.add_parser("surjection", help="subset-surjection sweeps")
+    surj = surj.add_subparsers(dest="mode", required=True)
+    p = construction(command(surj, "verify", _cmd_surjection_verify))
+    p.add_argument("--max-t", type=int, default=2)
+    p = construction(command(surj, "preimage", _cmd_surjection_preimage))
+    p.add_argument("--target", required=True, help="JSON array of bit-strings")
+    p = construction(command(surj, "collisions", _cmd_surjection_collisions))
+    p.add_argument("--count", type=int, default=1)
+
+    p = command(sub, "support", _cmd_support,
+                "minimal and recursive supports")
     p.add_argument("--file", required=True)
     p.add_argument("--compare", action="store_true")
-    p.set_defaults(handler=_cmd_support)
 
-    p = sub.add_parser("synth", help="formula synthesis with exactness check")
-    common(p)
+    p = command(sub, "synth", _cmd_synth,
+                "formula synthesis with exactness check")
     p.add_argument("--file", required=True)
-    p.add_argument("--support", default=None, help="JSON array of labels")
-    p.set_defaults(handler=_cmd_synth)
+    p.add_argument("--support", help="JSON array of labels")
 
-    p = sub.add_parser("orbits", help="stabilizer orbit structure")
-    common(p)
-    p.add_argument("--fixed", default=None, help="JSON array of bit-strings")
-    p.set_defaults(handler=_cmd_orbits)
+    p = command(sub, "orbits", _cmd_orbits, "stabilizer orbit structure")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--fixed", help="JSON array of bit-strings")
 
-    p = sub.add_parser("dichotomy", help="classify a set against the orbits")
-    common(p)
-    p.add_argument("--fixed", default=None, help="JSON array of bit-strings")
-    p.add_argument("--set", default=None, help="JSON array of bit-strings")
-    p.set_defaults(handler=_cmd_dichotomy)
+    p = command(sub, "dichotomy", _cmd_dichotomy,
+                "classify a set against the orbits")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--fixed", help="JSON array of bit-strings")
+    p.add_argument("--set", required=True, help="JSON array of bit-strings")
 
-    p = sub.add_parser("equivariance", help="surjection equivariance runs")
-    common(p)
-    p.add_argument("--construction", choices=("linear", "general"),
-                   default="linear")
+    p = construction(command(sub, "equivariance", _cmd_equivariance,
+                             "surjection equivariance runs"))
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--exhaustive-max-size", type=int, default=None,
-                   dest="exhaustive_max_size")
-    p.set_defaults(handler=_cmd_equivariance)
+    p.add_argument("--exhaustive-max-size", type=int)
 
-    p = sub.add_parser("sigma", help="membership-signature classes")
-    common(p)
-    p.add_argument("--fixed", default=None, help="JSON array of labels")
-    p.add_argument("--sets", default=None, help="JSON array of label arrays")
-    p.add_argument("--target", default=None, help="JSON array of labels")
-    p.set_defaults(handler=_cmd_sigma)
+    p = command(sub, "sigma", _cmd_sigma, "membership-signature classes")
+    p.add_argument("--ground", type=int, required=True)
+    p.add_argument("--fixed", help="JSON array of labels")
+    p.add_argument("--sets", help="JSON array of label arrays")
+    p.add_argument("--target", help="JSON array of labels")
 
     return parser
 
 
 def main(argv=None, stream=None) -> int:
-    stream = stream or sys.stdout
-    parser = build_parser()
+    """Run one subcommand, writing each record as it is produced.
+
+    Every configuration check runs before the first record, and --out is
+    opened only at the first record, so a bad configuration writes nothing
+    and leaves an existing file alone.  An error raised after some records
+    were written keeps those lines and still exits 2.
+    """
+    violations = 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        records, violations = args.handler(args)
-    except (ConfigError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        with contextlib.ExitStack() as stack:
+            out = None
+            for record, ok in args.handler(args):
+                if out is None:
+                    out = (stack.enter_context(
+                        open(args.out, "w", encoding="utf-8"))
+                        if args.out else stream or sys.stdout)
+                out.write(_line(record, args.format) + "\n")
+                violations += not ok
+    except SystemExit as exc:  # --help
+        return exc.code
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"ddlab: {exc}", file=sys.stderr)
         return 2
     except DdlabError as exc:
         print(f"ddlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _emit(records, args, stream)
     return 1 if violations else 0
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -433,6 +434,20 @@ def test_config_errors_exit_2():
     ["orbits", "--dim", "21"],
     ["dichotomy", "--dim", "21", "--set", "[]"],
     ["surjection", "collisions", "--dim", "2", "--count", "0"],
+    ["orbits", "--dim", "1", "--out", "/nonexistent/x.jsonl"],
+    # a general family at d=7 is capped before it is built
+    ["surjection", "verify", "--construction", "general", "--geometry",
+     "linear", "--dim", "7"],
+    ["equivariance", "--construction", "general", "--geometry", "linear",
+     "--dim", "7", "--trials", "1"],
+    # options a subcommand does not read
+    ["surjection", "preimage", "--dim", "2", "--target", "[]",
+     "--count", "2"],
+    ["surjection", "verify", "--dim", "2", "--target", "[]"],
+    ["orbits", "--dim", "2", "--geometry", "linear"],
+    ["sigma", "--ground", "3", "--dim", "2"],
+    # the three axiom reports are all computed before the first record
+    ["axioms", "--geometry", "linear", "--dim", "2", "--t-bound", "5"],
 ], ids=" ".join)
 def test_bad_values_exit_2_without_traceback(argv):
     proc = subprocess.run([sys.executable, "-m", "ddlab.cli", *argv],
@@ -441,6 +456,65 @@ def test_bad_values_exit_2_without_traceback(argv):
     assert proc.stderr.startswith("ddlab: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_unread_options_exit_2(tmp_path, capsys):
+    path = tmp_path / "rel.json"
+    path.write_text(POINT_7)
+    for argv in (["support", "--file", str(path), "--dim", "3"],
+                 ["synth", "--file", str(path), "--geometry", "linear"]):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err.startswith("ddlab: ")
+
+
+def test_records_are_written_as_they_are_produced(monkeypatch):
+    calls = []
+    real = dualdd.LinearSurjection.preimage_trace
+
+    def counted(self, target):
+        calls.append(target)
+        return real(self, target)
+
+    monkeypatch.setattr(dualdd.LinearSurjection, "preimage_trace", counted)
+    # each write notes how many preimages had been built by then
+    writes = []
+    stream = types.SimpleNamespace(write=lambda text: writes.append(
+        len(calls)))
+    assert main(["surjection", "verify", "--dim", "4", "--max-t", "1"],
+                stream=stream) == 0
+    assert writes == list(range(1, 17))
+
+
+def test_bad_value_leaves_out_file_alone(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"earlier run\n")
+    code, out = run_cli(["surjection", "verify", "--dim", "3", "--max-t",
+                         "-1", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert path.read_bytes() == b"earlier run\n"
+
+
+def test_sweep_memory_does_not_grow_with_output(tmp_path):
+    # 8,129 records at t <= 2 against 128 at t <= 1: streamed, both sweeps
+    # peak at about the same RSS.  Each runs as the child of a small
+    # interpreter, because a child's ru_maxrss starts from the RSS of the
+    # process that forked it, and this one's is larger than a sweep's.
+    # ru_maxrss is in KiB on Linux.
+    launcher = ("import resource, subprocess, sys; "
+                "code = subprocess.call([sys.executable, '-m', 'ddlab.cli',"
+                " *sys.argv[1:]]); print(code, resource.getrusage("
+                "resource.RUSAGE_CHILDREN).ru_maxrss)")
+    peaks = []
+    for max_t in ("2", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, "surjection", "verify",
+             "--dim", "7", "--max-t", max_t,
+             "--out", str(tmp_path / f"t{max_t}.jsonl")],
+            capture_output=True, text=True, timeout=120, check=True)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        peaks.append(peak_kb)
+    assert abs(peaks[0] - peaks[1]) < 5 * 1024, peaks
 
 
 def test_console_entry_point():
