@@ -115,7 +115,14 @@ def _general_construction(args) -> dualdd.GeneralSurjection:
         raise ConfigError(f"cannot build instance: {exc}") from exc
 
 
-CONSTRUCTIONS = {"linear": lambda args: dualdd.LinearSurjection(args.dim),
+def _linear_construction(args) -> dualdd.LinearSurjection:
+    if args.geometry is not None:
+        raise ConfigError("--geometry is read only by --construction "
+                          "general")
+    return dualdd.LinearSurjection(args.dim)
+
+
+CONSTRUCTIONS = {"linear": _linear_construction,
                  "general": _general_construction}
 
 

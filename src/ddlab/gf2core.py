@@ -228,17 +228,6 @@ def _express(target: int, pivots: dict[int, tuple[int, int]]) -> int | None:
     return combo
 
 
-def _complete_basis(partial: list[int], dim: int) -> list[int]:
-    """Extend a partial basis to a full one using least vectors first."""
-    basis = list(partial)
-    current = set(_kernels.span_members(basis))
-    while len(basis) < dim:
-        v = next(x for x in range(1, 1 << dim) if x not in current)
-        basis.append(v)
-        current |= {v ^ w for w in current}
-    return basis
-
-
 def fixing_linear_map(fixed: Iterable[int], u: int, v: int, dim: int) -> LinearMap:
     """Invertible map fixing span(fixed) pointwise and sending u to v."""
     check_dim(dim)
@@ -248,8 +237,9 @@ def fixing_linear_map(fixed: Iterable[int], u: int, v: int, dim: int) -> LinearM
     if u in fixed_span.members or v in fixed_span.members:
         raise PointInSpan("u and v must lie outside span(fixed)")
     base = list(fixed_span.basis)
-    domain = _complete_basis(base + [u], dim)
-    codomain = _complete_basis(base + [v], dim)
+    rest = dim - len(base) - 1
+    domain = base + [u] + extend_independent(base + [u], rest, dim)
+    codomain = base + [v] + extend_independent(base + [v], rest, dim)
     pivots = _echelon_with_combos(domain)
     cols = []
     for i in range(dim):

@@ -220,51 +220,39 @@ def check_exchange(op: ClosureOperator, max_subset: int) -> AxiomReport:
                        tuple(bad[:50]), checked)
 
 
-def _closed_subsets_of(op: ClosureOperator, ambient: frozenset[int]
-                       ) -> frozenset[frozenset[int]]:
-    """Every closed subset of a (small) ambient set."""
-    labels = sorted(ambient)
-    out = set()
-    for size in range(len(labels) + 1):
-        for combo in combinations(labels, size):
-            if op.is_closed(frozenset(combo)):
-                out.add(frozenset(combo))
-    return frozenset(out)
+def _preserving_maps(start: dict[int, int], points: list[int],
+                     due: list[list[frozenset[int]]],
+                     closed: frozenset[frozenset[int]]):
+    """Yield every permutation of `points` (a sorted closed set) that
+    extends the partial map `start` and carries each nonempty closed subset
+    of it onto a closed set, in lexicographic order of the images.
 
+    Points get their images in ascending order, and due[i], the closed
+    subsets whose largest point is points[i], are tested as soon as
+    points[i] has one, so a partial map is dropped at its first broken
+    subset.  On a closed set, preserving its closed subsets is the same as
+    preserving cl on all its subsets.
+    """
+    mapping = dict(start)
+    used = set(start.values())
 
-def _small_first(closed: frozenset[int]) -> tuple[int, list[int]]:
-    return len(closed), sorted(closed)
+    def place(i):
+        if i == len(points):
+            yield dict(mapping)
+            return
+        x = points[i]
+        pinned = x in start
+        for y in (start[x],) if pinned else [y for y in points
+                                             if y not in used]:
+            mapping[x] = y
+            if all(frozenset(map(mapping.__getitem__, w)) in closed
+                   for w in due[i]):
+                used.add(y)  # a pinned image is in `used` from the start
+                yield from place(i + 1)
+                if not pinned:
+                    used.discard(y)
 
-
-def _preserves_family(mapping: dict[int, int],
-                      family: frozenset[frozenset[int]],
-                      order: list[frozenset[int]]) -> bool:
-    """Does mapping carry every member of family, tried in `order`, into
-    family?"""
-    for closed in order:
-        if frozenset(mapping[x] for x in closed) not in family:
-            return False
-    return True
-
-
-def _extends_to(op: ClosureOperator, mapping: dict[int, int],
-                ambient: frozenset[int], family: frozenset[frozenset[int]],
-                small_first: list[frozenset[int]],
-                perm_budget: int, instance) -> bool:
-    """Does mapping extend to a permutation of ambient preserving its
-    closed-subset family?  (Preserving that family is equivalent to
-    preserving cl on subsets of a closed ambient set.)  `small_first` is
-    the same family, smallest sets first."""
-    rest = sorted(ambient - mapping.keys())
-    if math.factorial(len(rest)) > perm_budget:
-        raise SearchBudgetExceeded(
-            f"extension search over {len(rest)}! permutations", instance)
-    for image in permutations(rest):
-        full = dict(mapping)
-        full.update(zip(rest, image))
-        if _preserves_family(full, family, small_first):
-            return True
-    return False
+    return place(0)
 
 
 def check_local_homogeneity(op: ClosureOperator, max_closed: int,
@@ -280,17 +268,42 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     """
     if not max_closed <= max_extension <= op.size:
         raise ValueError("need max_closed <= max_extension <= ground size")
-    closed_all = op.closed_sets_upto(max_extension)
-    families: dict[frozenset[int], tuple[frozenset[frozenset[int]],
-                                         list[frozenset[int]]]] = {}
+    closed_all = op.closed_sets_upto(max_extension)  # smallest first
+    closed = frozenset(closed_all)
+    shapes: dict[frozenset[int], tuple] = {}
 
-    def family_of(closed: frozenset[int]):
-        """The closed subsets of `closed`: as a set, and smallest first."""
-        hit = families.get(closed)
+    def search(start: dict[int, int], ambient: frozenset[int]):
+        """_preserving_maps on `ambient` from `start`; the sorted points
+        and the subsets due at each are built once per closed set."""
+        hit = shapes.get(ambient)
         if hit is None:
-            family = _closed_subsets_of(op, closed)
-            hit = families[closed] = (family,
-                                      sorted(family, key=_small_first))
+            points = sorted(ambient)
+            index = {x: i for i, x in enumerate(points)}
+            due: list[list[frozenset[int]]] = [[] for _ in points]
+            for w in closed_all:
+                if w and w <= ambient:
+                    due[index[max(w)]].append(w)
+            hit = shapes[ambient] = (points, due)
+        return _preserving_maps(start, *hit, closed)
+
+    extends_cache: dict[tuple, bool] = {}  # a map's keys are its T
+
+    def extends_everywhere(mapping: dict[int, int], supersets,
+                           instance) -> bool:
+        key = tuple(sorted(mapping.items()))
+        hit = extends_cache.get(key)
+        if hit is None:
+            hit = True
+            for u in supersets:
+                rest = len(u) - len(mapping)
+                if math.factorial(rest) > perm_budget:
+                    raise SearchBudgetExceeded(
+                        f"extension search over {rest}! permutations",
+                        instance)
+                if next(search(mapping, u), None) is None:
+                    hit = False
+                    break
+            extends_cache[key] = hit
         return hit
 
     bad = []
@@ -298,47 +311,21 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     for ambient in closed_all:
         if len(ambient) > max_closed:
             continue
-        family, small_first = family_of(ambient)
         if math.factorial(len(ambient)) > perm_budget:
             raise SearchBudgetExceeded(
                 f"permutation search over {len(ambient)}!",
                 {"ambient": sorted(ambient)})
         labels = sorted(ambient)
-        candidates = []
-        for image in permutations(labels):
-            mapping = dict(zip(labels, image))
-            if _preserves_family(mapping, family, small_first):
-                candidates.append(mapping)
         supersets = [u for u in closed_all if ambient <= u]
-        extends_cache: dict[tuple, bool] = {}
-
-        def extends_everywhere(mapping: dict[int, int], instance) -> bool:
-            key = tuple(sorted(mapping.items()))
-            hit = extends_cache.get(key)
-            if hit is None:
-                hit = all(
-                    _extends_to(op, mapping, u, *family_of(u),
-                                perm_budget, instance)
-                    for u in supersets)
-                extends_cache[key] = hit
-            return hit
-
-        for fixed in small_first:
-            movable = sorted(ambient - fixed)
-            for a in movable:
-                for b in movable:
-                    if a == b:
-                        continue  # identity permutation always works
-                    checked += 1
-                    instance = {"fixed": sorted(fixed), "ambient": labels,
-                                "a": a, "b": b}
-                    found = any(
-                        mapping[a] == b
-                        and all(mapping[x] == x for x in fixed)
-                        and extends_everywhere(mapping, instance)
-                        for mapping in candidates)
-                    if not found:
-                        bad.append(instance)
+        for fixed in (w for w in closed_all if w <= ambient):
+            for a, b in permutations(sorted(ambient - fixed), 2):
+                checked += 1
+                instance = {"fixed": sorted(fixed), "ambient": labels,
+                            "a": a, "b": b}
+                pinned = {x: x for x in fixed} | {a: b}
+                if not any(extends_everywhere(mapping, supersets, instance)
+                           for mapping in search(pinned, ambient)):
+                    bad.append(instance)
     status = "BOUNDED-PASS" if not bad else "FAIL"
     return AxiomReport(
         "local-homogeneity",
@@ -371,41 +358,26 @@ class CardinalityReport:
     """Closure cardinalities across independent sets of one size."""
 
     size: int
-    mode: str
     common_value: int
     inspected: int
     status: str
     counterexample: dict | None = None
 
     def to_json(self) -> dict:
-        return {"size": self.size, "mode": self.mode,
-                "common_value": self.common_value,
+        return {"size": self.size, "common_value": self.common_value,
                 "inspected": self.inspected, "status": self.status,
                 "counterexample": self.counterexample}
 
 
-def verify_closure_cardinality(op: ClosureOperator, size: int,
-                               mode: str = "exhaustive", samples: int = 100,
-                               seed: int = 0) -> CardinalityReport:
+def verify_closure_cardinality(op: ClosureOperator,
+                               size: int) -> CardinalityReport:
     """Check that all independent sets of the given size have closures of
     one common cardinality."""
     if size > op.size:
         raise ValueError("size exceeds the ground set")
-    if mode == "exhaustive":
-        pool = (frozenset(c) for c in combinations(sorted(op.ground), size))
-    elif mode == "sample":
-        import random
-
-        rng = random.Random(seed)
-        labels = sorted(op.ground)
-        pool = (frozenset(rng.sample(labels, size))
-                for _ in range(samples * 50))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
     common = None
     inspected = 0
-    for candidate in pool:
+    for candidate in map(frozenset, combinations(sorted(op.ground), size)):
         if not is_independent(op, candidate):
             continue
         inspected += 1
@@ -414,10 +386,8 @@ def verify_closure_cardinality(op: ClosureOperator, size: int,
             common = value
         elif value != common:
             return CardinalityReport(
-                size, mode, common, inspected, "FAIL",
+                size, common, inspected, "FAIL",
                 {"set": sorted(candidate), "value": value})
-        if mode == "sample" and inspected >= samples:
-            break
     if common is None:
         raise NoIndependentSet(f"no independent set of size {size}")
-    return CardinalityReport(size, mode, common, inspected, "PASS")
+    return CardinalityReport(size, common, inspected, "PASS")

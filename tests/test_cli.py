@@ -377,6 +377,38 @@ def test_equivariance_golden_output(argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the same for the axiom checkers, recorded before local homogeneity became
+# one pruned search over closed sets
+AXIOMS_GOLDEN = (
+    ("--geometry linear --dim 3", 0,
+     "9c4ca0fe6a2af8d9d5450c752f4a81cd7948ae4bcb4bb8801f2d403fc06b88db"),
+    ("--geometry linear --dim 4", 0,
+     "e0d8b150c618a48eb028d99e9d1dfff490a37cdf1a6f2621fed2d593ed5bdfa9"),
+    ("--geometry affine --dim 3", 0,
+     "24f80e4a892b4e1b47b5dc0686e1bf079067d9d638811c08b7b0710f133de29c"),
+    ("--geometry affine --dim 4", 0,
+     "796ec069dae0964a052858f9b0750ef1649a426f0fd28b940d6cf2ad69f71a2d"),
+    ("--geometry affine --dim 4 --t-bound 2", 0,
+     "893cfa94c07febb0b99f2489b3ff05d640378003e5734669e080eebcb7c94a65"),
+    # unequal blocks: local homogeneity fails
+    ("--geometry degenerate --partition [[0,1],[2]] --t-bound 3 "
+     "--u-bound 3", 1,
+     "9f49c4f7eada70701a9d5f79ca84616386f2432602fcc1fbc9648df19224ffff"),
+    ("--geometry degenerate --partition [[0,1,2],[3,4],[5]]", 1,
+     "65a122af19ecc324bd5f5f21d91954ebdbf0aaa20643c2011ae1d27f07ed0236"),
+    ("--geometry identity --ground 6 --t-bound 3", 0,
+     "07392dd49214fa6c3a9c6d42e3049638965f2d7e7cf201d3f0cec73da938b2d4"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", AXIOMS_GOLDEN,
+                         ids=[row[0] for row in AXIOMS_GOLDEN])
+def test_axioms_golden_output(argv, code, digest):
+    got_code, out = run_cli(["axioms", *argv.split()])
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["--dim", "3", "--trials", "40"],
     ["--dim", "2", "--exhaustive-max-size", "2"],
@@ -446,6 +478,9 @@ def test_config_errors_exit_2():
     ["surjection", "verify", "--dim", "2", "--target", "[]"],
     ["orbits", "--dim", "2", "--geometry", "linear"],
     ["sigma", "--ground", "3", "--dim", "2"],
+    ["surjection", "verify", "--construction", "linear", "--dim", "2",
+     "--geometry", "affine", "--max-t", "0"],
+    ["equivariance", "--dim", "2", "--geometry", "linear"],
     # the three axiom reports are all computed before the first record
     ["axioms", "--geometry", "linear", "--dim", "2", "--t-bound", "5"],
 ], ids=" ".join)

@@ -122,10 +122,53 @@ def test_local_homogeneity_fails_on_unequal_blocks():
     assert witness["ambient"] == [0, 1, 2]
 
 
+def test_local_homogeneity_tests_singletons_and_extensions():
+    # cl({1}) = {0, 1}: swapping 0 and 1 keeps {0, 1} but sends the closed
+    # {0} onto {1}, which is not closed
+    cone = pg.ClosureOperator(range(2), "cone",
+                              lambda s: s | {0} if 1 in s else s)
+    r = pg.check_local_homogeneity(cone, 2, 2)
+    assert r.status == "FAIL"
+    assert [(c["a"], c["b"]) for c in r.counterexamples] == [(0, 1), (1, 0)]
+    # closed sets: the empty set, the points, {0, 1}, {0, 2} and the whole
+    # ground; swapping two points of a closed pair keeps that pair's closed
+    # subsets but cannot extend to {0, 1, 2}
+    closed = [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {0, 1, 2}]
+    lopsided = pg.ClosureOperator(
+        range(3), "lopsided",
+        lambda s: frozenset(min((c for c in closed if s <= c), key=len)))
+    assert pg.check_closure_axioms(lopsided, 3).status == "PASS"
+    assert pg.check_local_homogeneity(lopsided, 2, 2).status == "BOUNDED-PASS"
+    r = pg.check_local_homogeneity(lopsided, 2, 3)
+    assert (r.status, r.checked) == ("FAIL", 4)
+    assert [(c["ambient"], c["fixed"], c["a"], c["b"])
+            for c in r.counterexamples] == [
+        ([0, 1], [], 0, 1), ([0, 1], [], 1, 0),
+        ([0, 2], [], 0, 2), ([0, 2], [], 2, 0)]
+
+
 def test_local_homogeneity_budget():
-    with pytest.raises(SearchBudgetExceeded):
+    # each extension is budgeted when its search is about to run, so the
+    # first query of a 2-point T already needs a 6-point U: 4! > 10
+    with pytest.raises(SearchBudgetExceeded) as info:
         pg.check_local_homogeneity(pg.identity_operator(6), 5, 6,
                                    perm_budget=10)
+    assert str(info.value) == "extension search over 4! permutations"
+    assert info.value.instance == {"fixed": [], "ambient": [0, 1],
+                                   "a": 0, "b": 1}
+    # extending a 4-point subspace's map to the 16-point space leaves 12
+    # points to place: 12! > 8!
+    with pytest.raises(SearchBudgetExceeded) as info:
+        pg.check_local_homogeneity(pg.linear_operator(4), 4, 16)
+    assert str(info.value) == "extension search over 12! permutations"
+    assert info.value.instance == {"fixed": [0], "ambient": [0, 1, 2, 3],
+                                   "a": 1, "b": 2}
+    # a 9-point U is within budget for 2-point T's (7! <= 8!), and a
+    # 1-point T asks nothing at all
+    r = pg.check_local_homogeneity(pg.identity_operator(10), 1, 9)
+    assert (r.status, r.checked) == ("BOUNDED-PASS", 0)
+    r = pg.check_local_homogeneity(pg.identity_operator(10), 2, 9)
+    assert (r.status, r.checked) == ("BOUNDED-PASS", 90)
 
 
 def test_is_independent_examples():
@@ -159,9 +202,6 @@ def test_verify_closure_cardinality():
     assert r.status == "PASS" and r.common_value == 2
     r = pg.verify_closure_cardinality(pg.identity_operator(5), 3)
     assert r.status == "PASS" and r.common_value == 3
-    r = pg.verify_closure_cardinality(pg.linear_operator(3), 2,
-                                      mode="sample", samples=10, seed=1)
-    assert r.status == "PASS" and r.common_value == 4
     with pytest.raises(NoIndependentSet):
         pg.verify_closure_cardinality(pg.linear_operator(2), 3)
 
