@@ -6,6 +6,7 @@ the membership-signature partition gadgets.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -19,7 +20,7 @@ from .errors import (
     NotEquivalence,
     PartitionViolation,
 )
-from .formulas import Formula, complete_types, evaluate
+from .formulas import EqualityType, Formula, complete_types, evaluate
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,14 @@ class Relation:
                         frozenset(tuple(perm[x] for x in t)
                                   for t in self.tuples))
 
-    def section(self, a: int) -> "Relation":
-        """The arity-(k-1) slice at first coordinate a."""
-        if self.k < 2:
-            raise ValueError("sections need arity at least 2")
-        return Relation(self.n, self.k - 1,
-                        frozenset(t[1:] for t in self.tuples if t[0] == a))
 
-
-def _preserved(rel: Relation, a: int, b: int) -> bool:
-    """True when the transposition (a b) maps the relation onto itself.
+def _preserved(tuples: frozenset, a: int, b: int) -> bool:
+    """True when the transposition (a b) maps the tuple set onto itself.
     It fixes every tuple without a or b and is a bijection, so it is
-    enough that each tuple it moves lands in the relation."""
+    enough that each tuple it moves lands in the set."""
     swap = {a: b, b: a}
-    return all(tuple(map(swap.get, t, t)) in rel.tuples
-               for t in rel.tuples if a in t or b in t)
+    return all(tuple(map(swap.get, t, t)) in tuples
+               for t in tuples if a in t or b in t)
 
 
 def _transposition_classes(rel: Relation) -> list[list[int]]:
@@ -83,7 +77,7 @@ def _transposition_classes(rel: Relation) -> list[list[int]]:
     classes: list[list[int]] = []
     for x in range(rel.n):
         for cls in classes:
-            if _preserved(rel, cls[0], x):
+            if _preserved(rel.tuples, cls[0], x):
                 cls.append(x)
                 break
         else:
@@ -97,9 +91,12 @@ def is_support(rel: Relation, members: Iterable[int]) -> bool:
     transposition class.  The transpositions from the first outside point
     to each other one decide this; with fewer than two points outside the
     stabilizer is trivial and the check is vacuous."""
-    e = frozenset(members)
-    outside = [x for x in range(rel.n) if x not in e]
-    return all(_preserved(rel, outside[0], b) for b in outside[1:])
+    return _is_support(rel.n, rel.tuples, frozenset(members))
+
+
+def _is_support(n: int, tuples: frozenset, members: frozenset[int]) -> bool:
+    outside = [x for x in range(n) if x not in members]
+    return all(_preserved(tuples, outside[0], b) for b in outside[1:])
 
 
 @dataclass(frozen=True)
@@ -143,20 +140,17 @@ class SupportChain:
 
 @dataclass(frozen=True)
 class RecursiveSupportTrace:
-    """The full state of one recursive support computation."""
+    """The outcome of one recursive support computation; the chain and
+    majority fields stay None in the arity-1 base case."""
 
     members: frozenset[int]
-    base_case: bool
-    section_supports: dict | None = None
     chains: dict | None = None
     major_size: int | None = None
     major: frozenset[int] | None = None
-    solo: frozenset[int] | None = None
-    fingerprint_classes: tuple | None = None
     generic_class: frozenset[int] | None = None
 
 
-def _chain(start: int, section_support: dict[int, frozenset[int]],
+def _chain(start: int, section_support: list[frozenset[int]],
            n: int) -> SupportChain:
     levels = [frozenset([start])]
     for _ in range(n + 1):
@@ -168,26 +162,7 @@ def _chain(start: int, section_support: dict[int, frozenset[int]],
     return SupportChain(start, tuple(levels), levels[-1])
 
 
-def _marked_fingerprint(rel_section: Relation, outside: frozenset[int],
-                        marker: int) -> frozenset:
-    """Equality types of the section's tuples over the parameters
-    `outside` plus the section point, with the point renamed to a shared
-    marker so fingerprints are comparable across points."""
-    types = set()
-    for t in rel_section.tuples:
-        fresh_ids: dict[int, int] = {}
-        pattern = []
-        for value in t:
-            if value == marker:
-                pattern.append(("marker",))
-            elif value in outside:
-                pattern.append(("const", value))
-            else:
-                if value not in fresh_ids:
-                    fresh_ids[value] = len(fresh_ids)
-                pattern.append(("fresh", fresh_ids[value]))
-        types.add(tuple(pattern))
-    return frozenset(types)
+_POINT = -1  # every section point's name in fingerprints, outside any ground
 
 
 def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
@@ -195,24 +170,32 @@ def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
     replacement of "finite/cofinite" by "at most half / more than half".
 
     Raises MajorityTie when no strict majority exists at either stage.
-    The returned set is verified to be a support before returning.
+    The set returned at every level is verified to be a support of that
+    level's tuple set before it is used.
     """
-    n = rel.n
-    if n < 4:
+    if rel.n < 4:
         raise ValueError("need a ground set of at least 4")
-    if rel.k == 1:
-        values = frozenset(t[0] for t in rel.tuples)
+    return _recursive_support(rel.n, rel.k, rel.tuples)
+
+
+def _recursive_support(n: int, k: int, tuples: frozenset
+                       ) -> RecursiveSupportTrace:
+    """The recursion on the k-tuples over {0..n-1}; the sections are the
+    tails of the tuples, grouped by their first point."""
+    if k == 1:
+        values = frozenset(t[0] for t in tuples)
         members = (values if 2 * len(values) <= n
                    else frozenset(range(n)) - values)
-        result = RecursiveSupportTrace(members, base_case=True)
+        result = RecursiveSupportTrace(members)
     else:
-        sections = {a: rel.section(a) for a in range(n)}
-        section_support = {a: recursive_support(sections[a])
-                           for a in range(n)}
+        tails: list[set] = [set() for _ in range(n)]
+        for t in tuples:
+            tails[t[0]].add(t[1:])
+        sections = [frozenset(tail) for tail in tails]
+        section_support = [_recursive_support(n, k - 1, section).members
+                           for section in sections]
         chains = {b: _chain(b, section_support, n) for b in range(n)}
-        counts: dict[int, int] = {}
-        for chain in chains.values():
-            counts[len(chain.members)] = counts.get(len(chain.members), 0) + 1
+        counts = Counter(len(chain.members) for chain in chains.values())
         majority = [size for size, c in counts.items() if 2 * c > n]
         if not majority:
             raise MajorityTie("no chain cardinality holds a strict majority",
@@ -231,14 +214,17 @@ def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
                         f"{sorted(block_of[x])}")
         if frozenset(block_of) != major:
             raise PartitionViolation("restricted chains do not cover")
-        solo = frozenset(b for b in major
-                         if chains[b].members & major == {b})
-        outside = frozenset(range(n)) - major
-        fingerprints = {a: _marked_fingerprint(sections[a], outside, a)
-                        for a in solo}
+        solo = [b for b in major if chains[b].members & major == {b}]
+        # equality types over the points outside the majority set, with
+        # each section point renamed to _POINT so sections compare
+        params = (frozenset(range(n)) - major) | {_POINT}
         classes: dict[frozenset, set[int]] = {}
-        for a, fp in fingerprints.items():
-            classes.setdefault(fp, set()).add(a)
+        for a in solo:
+            fingerprint = frozenset(
+                EqualityType.of_point(
+                    [_POINT if x == a else x for x in t], params)
+                for t in sections[a])
+            classes.setdefault(fingerprint, set()).add(a)
         generic = [frozenset(members) for members in classes.values()
                    if 2 * len(members) > n]
         if not generic:
@@ -247,13 +233,9 @@ def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
         generic_class = generic[0]
         members = frozenset().union(
             *(chains[b].members for b in frozenset(range(n)) - generic_class))
-        result = RecursiveSupportTrace(
-            members, base_case=False, section_supports=section_support,
-            chains=chains, major_size=major_size, major=major, solo=solo,
-            fingerprint_classes=tuple(
-                frozenset(v) for v in classes.values()),
-            generic_class=generic_class)
-    if not is_support(rel, result.members):
+        result = RecursiveSupportTrace(members, chains, major_size, major,
+                                       generic_class)
+    if not _is_support(n, tuples, result.members):
         raise IntermediateAssertFailed(
             f"constructed set {sorted(result.members)} is not a support")
     return result
@@ -287,7 +269,7 @@ def synthesize_formula(rel: Relation, support: Iterable[int]) -> Formula:
         literals
         for _, witness, literals in _realizable_types(rel.n, rel.k, params)
         if witness in rel.tuples))
-    formula = Formula(rel.k, params, body, canonical=True)
+    formula = Formula(rel.k, params, body)
     for point in product(range(rel.n), repeat=rel.k):
         if evaluate(formula, point) != (point in rel.tuples):
             raise IntermediateAssertFailed(
@@ -330,6 +312,8 @@ def signature_classes(n: int, fixed: Iterable[int],
                       ) -> tuple[frozenset[int], ...]:
     """Partition of {0..n-1}: fixed points are singletons, and the rest
     group by their membership signature across the given sets."""
+    if n < 0:
+        raise ValueError("ground size must be non-negative")
     fixed = frozenset(fixed) & set(range(n))
     families = [frozenset(s) for s in sets]
     buckets: dict[tuple[bool, ...], set[int]] = {}

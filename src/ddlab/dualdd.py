@@ -18,7 +18,6 @@ from typing import Callable, Iterable
 from . import _kernels
 from .errors import (
     BudgetExceeded,
-    CacheIncomplete,
     DegenerateGeometry,
     DimensionExhausted,
     GroundExhausted,
@@ -135,8 +134,10 @@ class LinearSurjection:
         return all_invertible(self.dim)
 
 
-def minimal_nondegenerate_set(op: ClosureOperator,
-                              spot_checks: int = 5) -> frozenset[int]:
+SPOT_CHECKS = 5  # independent sets of the witness size checked too
+
+
+def minimal_nondegenerate_set(op: ClosureOperator) -> frozenset[int]:
     """Smallest (then lexicographically least) E whose closure exceeds the
     union of its pointwise closures; raises DegenerateGeometry if none."""
     labels = sorted(op.ground)
@@ -148,14 +149,14 @@ def minimal_nondegenerate_set(op: ClosureOperator,
                 if not is_independent(op, e):
                     raise IntermediateAssertFailed(
                         f"minimal witness {sorted(e)} is not independent")
-                _spot_check_same_size(op, e, spot_checks)
+                _spot_check_same_size(op, e)
                 return e
     raise DegenerateGeometry(
         "closure of every set equals the union of its pointwise closures")
 
 
-def _spot_check_same_size(op: ClosureOperator, witness: frozenset[int],
-                          spot_checks: int) -> None:
+def _spot_check_same_size(op: ClosureOperator,
+                          witness: frozenset[int]) -> None:
     """Every independent set of the witness size must be non-degenerate
     too; verify the first few."""
     seen = 0
@@ -168,7 +169,7 @@ def _spot_check_same_size(op: ClosureOperator, witness: frozenset[int],
             raise IntermediateAssertFailed(
                 f"independent set {sorted(x)} of witness size is degenerate")
         seen += 1
-        if seen >= spot_checks:
+        if seen >= SPOT_CHECKS:
             return
 
 
@@ -193,18 +194,14 @@ class GeneralSurjection:
     skip = GroundExhausted
 
     def __init__(self, op: ClosureOperator, witness: frozenset[int],
-                 anchor: frozenset[int], max_card: int):
+                 anchor: frozenset[int]):
         _check_general_ground(op)
         self.op = op
         self.witness = witness
         self.anchor = anchor
         self.anchor_closure = op.cl(anchor)
-        self.max_card = max_card
-        if len(self.anchor_closure) > max_card:
-            raise CacheIncomplete(
-                "cache bound is below the anchor closure size")
-        # exactly the W with cl(anchor u W) == W and |W| <= max_card
-        self.closed_family = op.closed_sets_upto(max_card, anchor)
+        # exactly the W with cl(anchor u W) == W
+        self.closed_family = op.closed_sets_upto(len(op.ground), anchor)
         self.dim = max(op.ground).bit_length()
         self.points = sorted(op.ground)
         self.params = {"construction": "general", "geometry": op.kind,
@@ -212,14 +209,11 @@ class GeneralSurjection:
         self.equivariance_params = {"kind": op.kind, "dim": self.dim}
 
     @classmethod
-    def build(cls, op: ClosureOperator,
-              max_card: int | None = None) -> "GeneralSurjection":
+    def build(cls, op: ClosureOperator) -> "GeneralSurjection":
         _check_general_ground(op)  # before any closure work
         witness = minimal_nondegenerate_set(op)  # raises DegenerateGeometry
         anchor = frozenset(sorted(witness)[:-2])
-        if max_card is None:
-            max_card = len(op.ground)
-        return cls(op, witness, anchor, max_card)
+        return cls(op, witness, anchor)
 
     @property
     def sweep_params(self) -> dict:
@@ -275,11 +269,6 @@ def _qualifying_max(inst: GeneralSurjection, s: frozenset[int]
                     ) -> tuple[int, list[frozenset[int]]]:
     """Maximum cardinality and the maximizing cached sets W with
     W - cl(anchor) inside s; never empty (cl(anchor) itself qualifies)."""
-    if len(inst.anchor_closure) + len(s) > inst.max_card:
-        raise CacheIncomplete(
-            f"a qualifying set could have up to "
-            f"{len(inst.anchor_closure) + len(s)} members; cache stops at "
-            f"{inst.max_card}")
     best = 0
     winners: list[frozenset[int]] = []
     for w in inst.closed_family:

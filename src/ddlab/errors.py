@@ -34,10 +34,6 @@ class DegenerateGeometry(DdlabError):
     does not apply."""
 
 
-class CacheIncomplete(DdlabError):
-    """A qualifying closed set could exceed the cached cardinality bound."""
-
-
 class GroundExhausted(DdlabError):
     """The ground set is too small to pick the required independent points."""
 

@@ -15,7 +15,7 @@ Text syntax (S-expressions):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -40,7 +40,6 @@ class Formula:
     arity: int
     params: tuple[int, ...]
     body: tuple[tuple, ...]
-    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 0:
@@ -178,7 +177,7 @@ def canonicalize(formula: Formula) -> Formula:
     included = [t for t in complete_types(formula.arity, formula.params)
                 if t.satisfies(formula.body)]
     body = tuple(sorted(t.to_literals() for t in included))
-    return Formula(formula.arity, formula.params, body, canonical=True)
+    return Formula(formula.arity, formula.params, body)
 
 
 def evaluate(formula: Formula, point: Sequence[int]) -> bool:

@@ -34,8 +34,6 @@ class ClosureOperator:
         self.kind = kind
         self._cl_func = cl_func
         self._cache: dict[frozenset[int], frozenset[int]] = {}
-        self._closed_upto: dict[tuple[int, frozenset[int]],
-                                tuple[frozenset[int], ...]] = {}
 
     @property
     def size(self) -> int:
@@ -51,20 +49,12 @@ class ClosureOperator:
             self._cache[key] = hit
         return hit
 
-    def is_closed(self, subset: Iterable[int]) -> bool:
-        key = frozenset(subset)
-        return self.cl(key) == key
-
     def closed_sets_upto(self, max_size: int,
                          base: frozenset[int] = frozenset()
                          ) -> tuple[frozenset[int], ...]:
         """All closed sets of size <= max_size that contain `base`, by
         breadth-first closure of one-point extensions of cl(base) (every
         such closed set is reachable this way for a monotone operator)."""
-        key = (max_size, base)
-        hit = self._closed_upto.get(key)
-        if hit is not None:
-            return hit
         start = self.cl(base)
         seen: set[frozenset[int]] = set()
         queue = []
@@ -78,9 +68,7 @@ class ClosureOperator:
                 if len(bigger) <= max_size and bigger not in seen:
                     seen.add(bigger)
                     queue.append(bigger)
-        result = tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
-        self._closed_upto[key] = result
-        return result
+        return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
 
     def __repr__(self):
         return f"ClosureOperator(kind={self.kind!r}, size={self.size})"
@@ -174,8 +162,8 @@ def _subsets_upto(ground: frozenset[int], max_size: int):
 def check_closure_axioms(op: ClosureOperator, max_subset: int) -> AxiomReport:
     """Verify extensivity, idempotence, and monotonicity on all subsets
     of size <= max_subset."""
-    if max_subset > op.size:
-        raise ValueError("bound exceeds the ground size")
+    if not 0 <= max_subset <= op.size:
+        raise ValueError("need 0 <= max_subset <= ground size")
     bad = []
     checked = 0
     subsets = list(_subsets_upto(op.ground, max_subset))
@@ -201,8 +189,8 @@ def check_closure_axioms(op: ClosureOperator, max_subset: int) -> AxiomReport:
 def check_exchange(op: ClosureOperator, max_subset: int) -> AxiomReport:
     """Verify the exchange biconditional for all S with |S| <= max_subset
     and all a, b outside cl(S)."""
-    if max_subset > op.size:
-        raise ValueError("bound exceeds the ground size")
+    if not 0 <= max_subset <= op.size:
+        raise ValueError("need 0 <= max_subset <= ground size")
     bad = []
     checked = 0
     for subset, combo in _subsets_upto(op.ground, max_subset):
@@ -266,8 +254,9 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     U containing T with |U| <= max_extension.  The extension clause of the
     axiom is unbounded, so a clean run is reported as BOUNDED-PASS.
     """
-    if not max_closed <= max_extension <= op.size:
-        raise ValueError("need max_closed <= max_extension <= ground size")
+    if not 0 <= max_closed <= max_extension <= op.size:
+        raise ValueError(
+            "need 0 <= max_closed <= max_extension <= ground size")
     closed_all = op.closed_sets_upto(max_extension)  # smallest first
     closed = frozenset(closed_all)
     shapes: dict[frozenset[int], tuple] = {}

@@ -483,6 +483,12 @@ def test_config_errors_exit_2():
     ["equivariance", "--dim", "2", "--geometry", "linear"],
     # the three axiom reports are all computed before the first record
     ["axioms", "--geometry", "linear", "--dim", "2", "--t-bound", "5"],
+    # negative bounds and ground sizes
+    ["axioms", "--geometry", "linear", "--dim", "2", "--bound", "-1"],
+    ["axioms", "--geometry", "linear", "--dim", "2", "--t-bound", "-1"],
+    ["axioms", "--geometry", "linear", "--dim", "2", "--u-bound", "-3",
+     "--t-bound", "-5"],
+    ["sigma", "--ground", "-3"],
 ], ids=" ".join)
 def test_bad_values_exit_2_without_traceback(argv):
     proc = subprocess.run([sys.executable, "-m", "ddlab.cli", *argv],

@@ -215,6 +215,22 @@ def test_recursive_support_chains_recorded():
     assert trace.members == {0, 1}
 
 
+def test_recursive_support_builds_no_relation(monkeypatch):
+    # the relation is validated once, when it is made; the recursion works
+    # on its tuple set and on sections of it
+    rel = block_relation(7, 3, [1, 0, 0, 0, 0, 0, 0], random.Random(5))
+    made = []
+    real = df.Relation.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(df.Relation, "__post_init__", counted)
+    trace = df.recursive_support_trace(rel)
+    assert trace.chains is not None and made == []
+
+
 def test_recursive_support_tie_when_no_chain_is_isolated():
     # a perfect matching: every chain pairs up, so no fingerprint class
     # can reach a strict majority

@@ -7,7 +7,6 @@ import pytest
 from ddlab import dualdd, gf2core
 from ddlab import pregeometry as pg
 from ddlab.errors import (
-    CacheIncomplete,
     DegenerateGeometry,
     DimensionExhausted,
     GroundExhausted,
@@ -82,7 +81,7 @@ def test_general_instance_layout():
     aff = dualdd.GeneralSurjection.build(pg.affine_operator(4))
     assert len(aff.witness) == 3 and len(aff.anchor) == 1
     for w in aff.closed_family:
-        assert aff.op.is_closed(w) and aff.anchor_closure <= w
+        assert aff.op.cl(w) == w and aff.anchor_closure <= w
 
 
 def test_surject_general_cases():
@@ -132,16 +131,6 @@ def test_preimage_general_ground_exhausted():
     inst = dualdd.GeneralSurjection.build(pg.linear_operator(3))
     with pytest.raises(GroundExhausted):
         dualdd.preimage_general_trace(inst, {1, 2, 4})
-
-
-def test_cache_incomplete():
-    op = pg.linear_operator(3)
-    witness = dualdd.minimal_nondegenerate_set(op)
-    inst = dualdd.GeneralSurjection(op, witness, frozenset(), max_card=2)
-    with pytest.raises(CacheIncomplete):
-        dualdd.surject_general(inst, {1, 2, 3})
-    with pytest.raises(CacheIncomplete):
-        dualdd.GeneralSurjection(op, witness, frozenset(), max_card=0)
 
 
 def test_collision_pairs_linear():

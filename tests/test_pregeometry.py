@@ -28,8 +28,8 @@ def test_linear_operator_basics():
     op = pg.linear_operator(3)
     assert op.cl(frozenset()) == {0}
     assert op.cl({1, 2}) == {0, 1, 2, 3}
-    assert op.is_closed({0, 1})
-    assert not op.is_closed({1})
+    assert op.cl({0, 1}) == {0, 1}
+    assert op.cl({1}) != {1}
 
 
 def test_affine_operator_matches_odd_sum_oracle():
@@ -210,7 +210,7 @@ def test_closed_sets_upto():
     op = pg.linear_operator(3)
     closed = op.closed_sets_upto(8)
     assert len(closed) == 16  # all subspaces of GF(2)^3
-    assert all(op.is_closed(c) for c in closed)
+    assert all(op.cl(c) == c for c in closed)
     affine = pg.affine_operator(3)
     small = affine.closed_sets_upto(2)
     # empty set, 8 singletons, all 28 pairs
