@@ -8,6 +8,7 @@ GF(2)^d the labels are the d-bit vectors themselves.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Iterable
@@ -20,6 +21,11 @@ from .errors import (
 )
 
 DEFAULT_PERM_BUDGET = 40320  # 8!
+# The operator makers refuse larger grounds before building them.  The
+# least work of any axiom run is quadratic in the ground (exchange over the
+# pairs outside cl(empty)): at 2^14 points that run took 18.5 CPU-s and
+# 50 MB on a 2-core x86-64 machine, and each doubling quadruples the time.
+MAX_GROUND = 1 << 14
 
 
 class ClosureOperator:
@@ -74,13 +80,29 @@ class ClosureOperator:
         return f"ClosureOperator(kind={self.kind!r}, size={self.size})"
 
 
+def _check_ground(points: int) -> None:
+    if points > MAX_GROUND:
+        raise ValueError(f"a ground of {points} points is above the cap "
+                         f"of {MAX_GROUND}")
+
+
+def _vectors(dim: int) -> range:
+    """The labels of GF(2)^dim, after checking dim against the cap."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if dim >= MAX_GROUND.bit_length():
+        raise ValueError(f"a ground of 2^{dim} points is above the cap "
+                         f"of {MAX_GROUND}")
+    return range(1 << dim)
+
+
 def linear_operator(dim: int) -> ClosureOperator:
     """cl = linear span on GF(2)^dim; non-degenerate pregeometry."""
 
     def close(subset: frozenset[int]) -> frozenset[int]:
         return frozenset(_kernels.span_members(sorted(subset)))
 
-    return ClosureOperator(range(1 << dim), "linear", close)
+    return ClosureOperator(_vectors(dim), "linear", close)
 
 
 def affine_operator(dim: int) -> ClosureOperator:
@@ -94,12 +116,13 @@ def affine_operator(dim: int) -> ClosureOperator:
         shifted = sorted(a ^ a0 for a in subset)
         return frozenset(a0 ^ m for m in _kernels.span_members(shifted))
 
-    return ClosureOperator(range(1 << dim), "affine", close)
+    return ClosureOperator(_vectors(dim), "affine", close)
 
 
 def degenerate_operator(blocks: Iterable[Iterable[int]]) -> ClosureOperator:
     """cl(S) = union of the partition blocks meeting S; cl(empty) = empty."""
     block_list = [frozenset(b) for b in blocks]
+    _check_ground(sum(map(len, block_list)))
     ground: set[int] = set()
     block_of: dict[int, frozenset[int]] = {}
     for block in block_list:
@@ -124,6 +147,9 @@ def degenerate_operator(blocks: Iterable[Iterable[int]]) -> ClosureOperator:
 
 def identity_operator(n: int) -> ClosureOperator:
     """cl(S) = S; the degenerate baseline geometry."""
+    if n < 0:
+        raise ValueError(f"ground size must be at least 0, got {n}")
+    _check_ground(n)
     return ClosureOperator(range(n), "identity", lambda s: s)
 
 
@@ -195,11 +221,12 @@ def check_exchange(op: ClosureOperator, max_subset: int) -> AxiomReport:
     checked = 0
     for subset, combo in _subsets_upto(op.ground, max_subset):
         outside = sorted(op.ground - op.cl(subset))
+        grown = {x: op.cl(subset | {x}) for x in outside}
         for i, a in enumerate(outside):
             for b in outside[i + 1:]:
                 checked += 1
-                left = a in op.cl(subset | {b})
-                right = b in op.cl(subset | {a})
+                left = a in grown[b]
+                right = b in grown[a]
                 if left != right:
                     bad.append({"set": list(combo), "a": a, "b": b,
                                 "a_in_cl_Sb": left, "b_in_cl_Sa": right})
@@ -208,39 +235,91 @@ def check_exchange(op: ClosureOperator, max_subset: int) -> AxiomReport:
                        tuple(bad[:50]), checked)
 
 
-def _preserving_maps(start: dict[int, int], points: list[int],
-                     due: list[list[frozenset[int]]],
-                     closed: frozenset[frozenset[int]]):
-    """Yield every permutation of `points` (a sorted closed set) that
-    extends the partial map `start` and carries each nonempty closed subset
-    of it onto a closed set, in lexicographic order of the images.
+def _points(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Points get their images in ascending order, and due[i], the closed
-    subsets whose largest point is points[i], are tested as soon as
-    points[i] has one, so a partial map is dropped at its first broken
-    subset.  On a closed set, preserving its closed subsets is the same as
-    preserving cl on all its subsets.
-    """
-    mapping = dict(start)
-    used = set(start.values())
 
-    def place(i):
-        if i == len(points):
-            yield dict(mapping)
+def _submasks(mask: int):
+    """Every mask whose set bits lie inside `mask`."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
             return
-        x = points[i]
-        pinned = x in start
-        for y in (start[x],) if pinned else [y for y in points
-                                             if y not in used]:
-            mapping[x] = y
-            if all(frozenset(map(mapping.__getitem__, w)) in closed
-                   for w in due[i]):
-                used.add(y)  # a pinned image is in `used` from the start
-                yield from place(i + 1)
-                if not pinned:
-                    used.discard(y)
+        sub = (sub - 1) & mask
 
-    return place(0)
+
+def _preserving_maps(start: dict[int, int], points: list[int],
+                     due: list[list[tuple[int, ...]]],
+                     closed: frozenset[int]):
+    """Yield every permutation of `points` (the sorted positions of a
+    closed set) that extends the partial map `start` and carries each
+    closed subset of the set onto a closed set, as the tuple of the bits of
+    the images of `points`, in lexicographic order of the images.
+
+    Points get their images in ascending order.  due[i] lists the closed
+    subsets to test once points[i] has an image, each as the tuple of its
+    other points, which all come before points[i].  Their image masks are
+    computed once per node; a candidate image y passes when `rest | 1 << y`
+    is in `closed` for each of them.  A partial map is dropped at its first
+    broken subset.  On a closed set, preserving its closed subsets is the
+    same as preserving cl on all its subsets.
+    """
+    image: dict[int, int] = {}  # point -> the bit of its image
+    last = len(points) - 1
+
+    def place(i, used):
+        x = points[i]
+        rests = [sum(map(image.__getitem__, r)) for r in due[i]]
+        pinned = start.get(x)
+        for y in points if pinned is None else (pinned,):
+            bit = 1 << y
+            if pinned is None and used & bit:
+                continue
+            for r in rests:
+                if r | bit not in closed:
+                    break
+            else:
+                image[x] = bit
+                if i == last:
+                    yield tuple(map(image.__getitem__, points))
+                else:
+                    yield from place(i + 1, used | bit)
+
+    return place(0, sum(1 << y for y in start.values()))
+
+
+def _extends(image: dict[int, int], free: list[int],
+             due: list[list[tuple[int, ...]]], closed: frozenset[int],
+             i: int = 0, used: int = 0) -> bool:
+    """Whether the points free[i:] can take distinct images among `free`,
+    outside the bits `used`, so that each closed set due at a point lands
+    on a closed set.  `image` holds the bit of the image of
+    every point placed before free[i], the pinned ones included.  Only
+    existence is asked, so the order of the candidates does not matter."""
+    x = free[i]
+    rests = [sum(map(image.__getitem__, r)) for r in due[i]]
+    last = i + 1 == len(free)
+    for y in free:
+        bit = 1 << y
+        if used & bit:
+            continue
+        for r in rests:
+            if r | bit not in closed:
+                break
+        else:
+            if last:
+                return True
+            image[x] = bit
+            if _extends(image, free, due, closed, i + 1, used | bit):
+                return True
+    return False
 
 
 def check_local_homogeneity(op: ClosureOperator, max_closed: int,
@@ -253,67 +332,101 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     a -> b that preserves closed subsets of T and extends to every closed
     U containing T with |U| <= max_extension.  The extension clause of the
     axiom is unbounded, so a clean run is reported as BOUNDED-PASS.
+
+    Sets are bitmasks over the positions of the sorted ground.  A map is
+    tested only on closed subsets from a size class in which some set of
+    the ground is not closed (a bijection keeps sizes), and never on the
+    set it permutes.  The extension of a map of T to U places the points
+    of U - T only, and skips the closed subsets inside T, which the search
+    on T has tested.
     """
     if not 0 <= max_closed <= max_extension <= op.size:
         raise ValueError(
             "need 0 <= max_closed <= max_extension <= ground size")
     closed_all = op.closed_sets_upto(max_extension)  # smallest first
-    closed = frozenset(closed_all)
-    shapes: dict[frozenset[int], tuple] = {}
+    labels = sorted(op.ground)
+    bit_of = {x: 1 << i for i, x in enumerate(labels)}
+    masks = [sum(map(bit_of.__getitem__, w)) for w in closed_all]
+    closed = frozenset(masks)
+    rank = {m: i for i, m in enumerate(masks)}
+    sizes = Counter(map(len, closed_all))
+    tested = {k for k, n in sizes.items() if n < math.comb(len(labels), k)}
+    holders: list[list[int]] = [[] for _ in labels]  # smallest first
+    lowest: list[list[int]] = [[] for _ in labels]  # tested sizes only
+    for m in masks:
+        points = _points(m)
+        for x in points:
+            holders[x].append(m)
+        if points and len(points) in tested:
+            lowest[points[0]].append(m)
+    inside: dict[int, list[int]] = {}  # u -> its closed subsets to test
 
-    def search(start: dict[int, int], ambient: frozenset[int]):
-        """_preserving_maps on `ambient` from `start`; the sorted points
-        and the subsets due at each are built once per closed set."""
-        hit = shapes.get(ambient)
-        if hit is None:
-            points = sorted(ambient)
-            index = {x: i for i, x in enumerate(points)}
-            due: list[list[frozenset[int]]] = [[] for _ in points]
-            for w in closed_all:
-                if w and w <= ambient:
-                    due[index[max(w)]].append(w)
-            hit = shapes[ambient] = (points, due)
-        return _preserving_maps(start, *hit, closed)
-
-    extends_cache: dict[tuple, bool] = {}  # a map's keys are its T
-
-    def extends_everywhere(mapping: dict[int, int], supersets,
-                           instance) -> bool:
-        key = tuple(sorted(mapping.items()))
-        hit = extends_cache.get(key)
-        if hit is None:
-            hit = True
-            for u in supersets:
-                rest = len(u) - len(mapping)
-                if math.factorial(rest) > perm_budget:
-                    raise SearchBudgetExceeded(
-                        f"extension search over {rest}! permutations",
-                        instance)
-                if next(search(mapping, u), None) is None:
-                    hit = False
-                    break
-            extends_cache[key] = hit
-        return hit
+    def shape(u: int, t: int):
+        """The points of u - t, ascending, and at each the closed subsets
+        of u to test when it is placed: those not inside t whose last point
+        outside t it is."""
+        subsets = inside.get(u)
+        if subsets is None:
+            subsets = inside[u] = [w for x in _points(u) for w in lowest[x]
+                                   if w | u == u and w != u]
+        free = _points(u & ~t)
+        due: dict[int, list] = {x: [] for x in free}
+        for w in subsets:
+            if w | t != t:
+                x = (w & ~t).bit_length() - 1
+                due[x].append(tuple(_points(w ^ 1 << x)))
+        return free, [due[x] for x in free]
 
     bad = []
     checked = 0
-    for ambient in closed_all:
+    for t, ambient in zip(masks, closed_all):
         if len(ambient) > max_closed:
-            continue
+            break
         if math.factorial(len(ambient)) > perm_budget:
             raise SearchBudgetExceeded(
                 f"permutation search over {len(ambient)}!",
                 {"ambient": sorted(ambient)})
-        labels = sorted(ambient)
-        supersets = [u for u in closed_all if ambient <= u]
-        for fixed in (w for w in closed_all if w <= ambient):
-            for a, b in permutations(sorted(ambient - fixed), 2):
+        if len(ambient) < 2:
+            continue  # no two points to move
+        points, due = shape(t, 0)
+        supersets = [u for u in holders[points[0]] if u & t == t and u != t]
+        plans: list = [None] * len(supersets)  # shape(u, t), on demand
+        extends: dict[tuple, bool] = {}  # a map of T, by its image bits
+
+        def extends_everywhere(images, instance) -> bool:
+            hit = extends.get(images)
+            if hit is None:
+                hit = True
+                image = dict(zip(points, images))
+                for j, u in enumerate(supersets):
+                    rest = u.bit_count() - len(points)
+                    if math.factorial(rest) > perm_budget:
+                        raise SearchBudgetExceeded(
+                            f"extension search over {rest}! permutations",
+                            instance)
+                    if plans[j] is None:
+                        plans[j] = shape(u, t)
+                    if not _extends(image, *plans[j], closed):
+                        hit = False
+                        break
+                extends[images] = hit
+            return hit
+
+        ambient_labels = [labels[x] for x in points]
+        inner = sorted((s for s in _submasks(t) if s in closed),
+                       key=rank.__getitem__)
+        for fixed in inner:
+            fixed_points = _points(fixed)
+            for a, b in permutations(_points(t & ~fixed), 2):
                 checked += 1
-                instance = {"fixed": sorted(fixed), "ambient": labels,
-                            "a": a, "b": b}
-                pinned = {x: x for x in fixed} | {a: b}
-                if not any(extends_everywhere(mapping, supersets, instance)
-                           for mapping in search(pinned, ambient)):
+                instance = {"fixed": [labels[x] for x in fixed_points],
+                            "ambient": ambient_labels,
+                            "a": labels[a], "b": labels[b]}
+                pinned = {x: x for x in fixed_points}
+                pinned[a] = b
+                if not any(extends_everywhere(images, instance)
+                           for images in _preserving_maps(
+                               pinned, points, due, closed)):
                     bad.append(instance)
     status = "BOUNDED-PASS" if not bad else "FAIL"
     return AxiomReport(

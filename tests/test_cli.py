@@ -489,6 +489,10 @@ def test_config_errors_exit_2():
     ["axioms", "--geometry", "linear", "--dim", "2", "--u-bound", "-3",
      "--t-bound", "-5"],
     ["sigma", "--ground", "-3"],
+    # operator grounds are capped before they are built
+    ["axioms", "--geometry", "linear", "--dim", "30"],
+    ["axioms", "--geometry", "identity", "--ground", "100000000"],
+    ["axioms", "--geometry", "linear", "--dim", "-1"],
 ], ids=" ".join)
 def test_bad_values_exit_2_without_traceback(argv):
     proc = subprocess.run([sys.executable, "-m", "ddlab.cli", *argv],

@@ -1,5 +1,9 @@
 """Pregeometry instances and axiom checkers."""
 
+import hashlib
+import json
+from itertools import combinations
+
 import pytest
 
 from ddlab import pregeometry as pg
@@ -56,6 +60,24 @@ def test_degenerate_operator():
         pg.degenerate_operator([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         pg.degenerate_operator([[0], [2]])
+
+
+def test_operator_makers_cap_the_ground():
+    for maker in (pg.linear_operator, pg.affine_operator):
+        for dim, message in ((0, "dim must be at least 1, got 0"),
+                             (-1, "dim must be at least 1, got -1"),
+                             (15, "a ground of 2^15 points is above the cap "
+                                  "of 16384")):
+            with pytest.raises(ValueError) as info:
+                maker(dim)
+            assert str(info.value) == message
+    assert pg.linear_operator(14).size == pg.MAX_GROUND == 1 << 14
+    assert pg.identity_operator(pg.MAX_GROUND).size == pg.MAX_GROUND
+    for n in (-1, pg.MAX_GROUND + 1):
+        with pytest.raises(ValueError):
+            pg.identity_operator(n)
+    with pytest.raises(ValueError):
+        pg.degenerate_operator([range(pg.MAX_GROUND + 1)])
 
 
 def test_degenerate_union_law_exhaustive():
@@ -145,6 +167,79 @@ def test_local_homogeneity_tests_singletons_and_extensions():
             for c in r.counterexamples] == [
         ([0, 1], [], 0, 1), ([0, 1], [], 1, 0),
         ([0, 2], [], 0, 2), ([0, 2], [], 2, 0)]
+
+
+def family_operator(n, closed, kind):
+    """The operator on range(n) whose closed sets are `closed` (a family
+    closed under intersection that holds the ground): cl(S) is the least
+    closed set containing S."""
+    family = [frozenset(c) for c in closed]
+    return pg.ClosureOperator(
+        range(n), kind,
+        lambda s: min((c for c in family if s <= c), key=len))
+
+
+def test_local_homogeneity_tests_a_size_with_an_open_set():
+    # every pair is closed, so no pair needs a test, but of the triples
+    # only {0, 1, 2} is: swapping 0 and 3 extends to the ground only by
+    # sending {0, 1, 2} onto {1, 2, 3}, which is not closed
+    pairs = family_operator(
+        4, [set(), *({x} for x in range(4)),
+            *map(set, combinations(range(4), 2)), {0, 1, 2}, {0, 1, 2, 3}],
+        "pairs")
+    assert pg.check_closure_axioms(pairs, 4).status == "PASS"
+    r = pg.check_local_homogeneity(pairs, 2, 3)
+    assert (r.status, r.checked) == ("BOUNDED-PASS", 12)
+    r = pg.check_local_homogeneity(pairs, 2, 4)
+    assert (r.status, r.checked) == ("FAIL", 12)
+    assert [(c["ambient"], c["fixed"], c["a"], c["b"])
+            for c in r.counterexamples] == [
+        ([0, 3], [], 0, 3), ([0, 3], [], 3, 0), ([1, 3], [], 1, 3),
+        ([1, 3], [], 3, 1), ([2, 3], [], 2, 3), ([2, 3], [], 3, 2)]
+
+
+def test_local_homogeneity_extension_tests_sets_across_t():
+    # swapping the two points of T = {0, 2} keeps every closed set inside
+    # T and extends to {0, 1, 2}, but every permutation of the ground
+    # that extends it breaks {0, 1, 2} or {0, 1, 3}, closed sets that
+    # hold points of T and of the ground outside T
+    mixed = family_operator(
+        4, [set(), {0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2},
+            {0, 1, 3}, {0, 1, 2, 3}], "mixed")
+    assert pg.check_closure_axioms(mixed, 4).status == "PASS"
+    r = pg.check_local_homogeneity(mixed, 2, 3)
+    assert (r.status, r.checked) == ("BOUNDED-PASS", 6)
+    r = pg.check_local_homogeneity(mixed, 2, 4)
+    assert (r.status, r.checked) == ("FAIL", 6)
+    assert [(c["ambient"], c["fixed"], c["a"], c["b"])
+            for c in r.counterexamples] == [
+        ([0, 2], [], 0, 2), ([0, 2], [], 2, 0),
+        ([1, 2], [], 1, 2), ([1, 2], [], 2, 1)]
+
+
+# (geometry, its parameter, max_closed, max_extension)
+LH_CONFIGS = [
+    ("linear", 3, 4, 8), ("linear", 4, 4, 8), ("linear", 5, 4, 8),
+    ("affine", 3, 4, 8), ("affine", 4, 4, 8), ("affine", 4, 2, 8),
+    ("linear", 3, 2, 4), ("degenerate", [[0, 1], [2, 3]], 2, 2),
+    ("degenerate", [[0, 1], [2]], 2, 3), ("degenerate", [[0, 1], [2]], 3, 3),
+    ("degenerate", [[0, 1, 2], [3, 4], [5]], 3, 6),
+    ("degenerate", [[0, 1], [2, 3], [4, 5]], 4, 6),
+    ("identity", 4, 3, 4), ("identity", 6, 3, 6), ("identity", 7, 2, 7),
+]
+# sha256 of the sorted-key JSON reports, one per line, as the checker
+# wrote them before it ran on bitmasks
+LH_SHA256 = "f6f76feaff53bc9f8e7313444bb6de6d2b96eae7805ca6683230487d35fed51d"
+
+
+def test_local_homogeneity_reports_are_pinned():
+    makers = {"linear": pg.linear_operator, "affine": pg.affine_operator,
+              "degenerate": pg.degenerate_operator,
+              "identity": pg.identity_operator}
+    lines = [json.dumps(pg.check_local_homogeneity(
+        makers[kind](param), t, u).to_json(), sort_keys=True)
+        for kind, param, t, u in LH_CONFIGS]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LH_SHA256
 
 
 def test_local_homogeneity_budget():
