@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import combinations, islice, permutations
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .errors import (
@@ -173,35 +173,26 @@ def _spot_check_same_size(op: ClosureOperator,
             return
 
 
-# The largest ground a general construction caches closed sets over: d=6
-# (2,825 closed sets, under 2 s to build); d=7 has about 29,212.
-GENERAL_MAX_GROUND = 64
-
-
-def _check_general_ground(op: ClosureOperator) -> None:
-    if len(op.ground) > GENERAL_MAX_GROUND:
-        raise ValueError(
-            f"general construction limited to grounds of at most "
-            f"{GENERAL_MAX_GROUND} points (d <= 6), got {len(op.ground)}")
+# The largest general ground, checked before any closure work.  At d=7 on a
+# 2-core x86-64 machine: `verify --max-t 2` 4.0-4.6 CPU-s at 69 MB,
+# `collisions --count 200` 3.1-4.0 at 336 MB, `equivariance` 20-25 at 363 MB.
+GENERAL_MAX_GROUND = 128
 
 
 class GeneralSurjection:
     """The pregeometry surjection instance: a non-degeneracy witness E,
-    the anchor D = E minus its two largest points, and the cache of
-    closed sets containing cl(D).  Same interface as `LinearSurjection`,
-    with the ground labels encoded as dim-bit vectors."""
+    the anchor D = E minus its two largest points, and cl(D).  Same
+    interface as `LinearSurjection`, with the ground labels encoded as
+    dim-bit vectors."""
 
     skip = GroundExhausted
 
     def __init__(self, op: ClosureOperator, witness: frozenset[int],
                  anchor: frozenset[int]):
-        _check_general_ground(op)
         self.op = op
         self.witness = witness
         self.anchor = anchor
         self.anchor_closure = op.cl(anchor)
-        # exactly the W with cl(anchor u W) == W
-        self.closed_family = op.closed_sets_upto(len(op.ground), anchor)
         self.dim = max(op.ground).bit_length()
         self.points = sorted(op.ground)
         self.params = {"construction": "general", "geometry": op.kind,
@@ -210,7 +201,10 @@ class GeneralSurjection:
 
     @classmethod
     def build(cls, op: ClosureOperator) -> "GeneralSurjection":
-        _check_general_ground(op)  # before any closure work
+        if len(op.ground) > GENERAL_MAX_GROUND:
+            raise ValueError(
+                f"general construction limited to grounds of at most "
+                f"{GENERAL_MAX_GROUND} points (d <= 7), got {len(op.ground)}")
         witness = minimal_nondegenerate_set(op)  # raises DegenerateGeometry
         anchor = frozenset(sorted(witness)[:-2])
         return cls(op, witness, anchor)
@@ -233,14 +227,16 @@ class GeneralSurjection:
                 "intersection_ok": trace.intersection_ok,
                 "unique_max_ok": trace.unique_max_ok}
 
-    def collision_pool(self) -> list[frozenset[int]]:
-        """Nonempty sets of the form W - cl(anchor): all map to empty."""
-        seen = set()
-        for w in self.closed_family:
-            diff = w - self.anchor_closure
-            if diff:
-                seen.add(diff)
-        return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    def collision_pool(self) -> Iterator[frozenset[int]]:
+        """The nonempty sets W - cl(anchor), for W closed over the anchor,
+        by (size, sorted points): all map to empty.  Each size is searched
+        only when the one before it has been read."""
+        low = len(self.anchor_closure)
+        for size in range(low + 1, len(self.op.ground) + 1):
+            for w in self.op.closed_sets_upto(size, self.anchor):
+                # sets of one size sort alike with or without cl(anchor)
+                if len(w) == size:
+                    yield w - self.anchor_closure
 
     def sample_map(self, rng: random.Random) -> Callable[[int], int]:
         """A closure-preserving ground permutation fixing the anchor
@@ -260,25 +256,17 @@ class GeneralSurjection:
                 return lambda v: m.apply(v) ^ shift
 
     def __repr__(self):
-        return (f"GeneralSurjection(kind={self.op.kind!r}, "
-                f"witness={sorted(self.witness)}, anchor={sorted(self.anchor)}, "
-                f"cached={len(self.closed_family)})")
+        return (f"GeneralSurjection(kind={self.op.kind!r}, witness="
+                f"{sorted(self.witness)}, anchor={sorted(self.anchor)})")
 
 
 def _qualifying_max(inst: GeneralSurjection, s: frozenset[int]
-                    ) -> tuple[int, list[frozenset[int]]]:
-    """Maximum cardinality and the maximizing cached sets W with
-    W - cl(anchor) inside s; never empty (cl(anchor) itself qualifies)."""
-    best = 0
-    winners: list[frozenset[int]] = []
-    for w in inst.closed_family:
-        if w - inst.anchor_closure <= s:
-            if len(w) > best:
-                best = len(w)
-                winners = [w]
-            elif len(w) == best:
-                winners.append(w)
-    return best, winners
+                    ) -> list[frozenset[int]]:
+    """The largest closed sets W over the anchor with W - cl(anchor)
+    inside s, by sorted points; never empty (cl(anchor) qualifies)."""
+    family = inst.op.closed_sets_upto(len(inst.op.ground), inst.anchor,
+                                      s | inst.anchor_closure)
+    return [w for w in family if len(w) == len(family[-1])]
 
 
 def surject_general(inst: GeneralSurjection, subset: Iterable[int]
@@ -290,9 +278,7 @@ def surject_general(inst: GeneralSurjection, subset: Iterable[int]
         raise ValueError("subset not contained in the ground set")
     if s & inst.anchor_closure:
         return s
-    _, winners = _qualifying_max(inst, s)
-    union = frozenset().union(*winners)
-    return s - union
+    return s - frozenset().union(*_qualifying_max(inst, s))
 
 
 @dataclass(frozen=True)
@@ -325,8 +311,7 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
     base = inst.anchor | t
     for _ in range(len(t) + 1):
         reachable = op.cl(base | frozenset(picked))
-        candidate = next(
-            (x for x in sorted(op.ground) if x not in reachable), None)
+        candidate = next((x for x in inst.points if x not in reachable), None)
         if candidate is None:
             raise GroundExhausted(
                 f"no point independent over the anchor, target, and "
@@ -341,8 +326,7 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
         raise IntermediateAssertFailed(
             "cl(anchor u target) meets the constructed closure outside "
             "cl(anchor)")
-    _, winners = _qualifying_max(inst, source)
-    unique_max_ok = winners == [closure_u]
+    unique_max_ok = _qualifying_max(inst, source) == [closure_u]
     if not unique_max_ok:
         raise IntermediateAssertFailed(
             "the maximal qualifying closed set is not unique")
@@ -359,18 +343,14 @@ def collision_pairs(construction, count: int):
     re-evaluating the surjection."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    pool = construction.collision_pool()
-    pairs = []
-    for i in range(len(pool)):
-        for j in range(len(pool)):
-            if i == j:
-                continue
-            first, second = pool[i], pool[j]
-            if construction.surject(first) != construction.surject(second):
-                raise IntermediateAssertFailed(
-                    "collision pool entries disagree under the surjection")
-            pairs.append((first, second))
-            if len(pairs) == count:
-                return pairs
-    raise BudgetExceeded(
-        f"only {len(pairs)} collision pairs available, {count} requested")
+    # the first `count` pairs of any pool use at most its first count + 1
+    pool = list(islice(construction.collision_pool(), count + 1))
+    pairs = list(islice(permutations(pool, 2), count))
+    for first, second in pairs:
+        if construction.surject(first) != construction.surject(second):
+            raise IntermediateAssertFailed(
+                "collision pool entries disagree under the surjection")
+    if len(pairs) < count:
+        raise BudgetExceeded(
+            f"only {len(pairs)} collision pairs available, {count} requested")
+    return pairs

@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 
 from . import _kernels
 from .errors import (
+    BudgetExceeded,
     IntermediateAssertFailed,
     NoIndependentSet,
     SearchBudgetExceeded,
@@ -26,10 +27,19 @@ DEFAULT_PERM_BUDGET = 40320  # 8!
 # pairs outside cl(empty)): at 2^14 points that run took 18.5 CPU-s and
 # 50 MB on a 2-core x86-64 machine, and each doubling quadruples the time.
 MAX_GROUND = 1 << 14
+# The most closed sets a `closed_sets_upto` call finds: 16x the largest
+# family of the tests, golden cases and benchmark (1,023).  `axioms --geometry
+# identity --ground 128 --bound 0` stops here in 5.6 CPU-s at 233 MB.
+MAX_CLOSED_SETS = 1 << 14
+# The most closures an operator memoizes; a full memo is emptied.  32x the
+# largest memo of the tests and benchmark (about 8,200).  100 `equivariance`
+# trials at d=7 then peak at 363 MB in 21 CPU-s (1,026 MB in 14 unbounded);
+# `collisions --count 3000` at 414 MB (a MemoryError at 2 GB unbounded).
+MAX_MEMO = 1 << 18
 
 
 class ClosureOperator:
-    """A total map cl: fin(ground) -> fin(ground), memoized per subset.
+    """A total map cl: fin(ground) -> fin(ground), memo capped at MAX_MEMO.
 
     The axioms themselves are not assumed; the checkers below verify them.
     """
@@ -51,27 +61,37 @@ class ClosureOperator:
             raise ValueError("subset not contained in the ground set")
         hit = self._cache.get(key)
         if hit is None:
+            if len(self._cache) == MAX_MEMO:
+                self._cache.clear()
             hit = self._cl_func(key)
             self._cache[key] = hit
         return hit
 
     def closed_sets_upto(self, max_size: int,
-                         base: frozenset[int] = frozenset()
+                         base: frozenset[int] = frozenset(),
+                         within: Iterable[int] | None = None
                          ) -> tuple[frozenset[int], ...]:
-        """All closed sets of size <= max_size that contain `base`, by
-        breadth-first closure of one-point extensions of cl(base) (every
-        such closed set is reachable this way for a monotone operator)."""
+        """All closed sets of size <= max_size that contain `base` and lie
+        inside `within` (default: the ground), sorted by (size, points).
+
+        The search closes one-point extensions of cl(base) by points of
+        `within` and drops every closure that leaves it.  For a monotone
+        operator this reaches each such set, because the chain to it stays
+        inside it.  Raises BudgetExceeded past MAX_CLOSED_SETS sets."""
+        inside = self.ground if within is None else frozenset(within)
         start = self.cl(base)
-        seen: set[frozenset[int]] = set()
-        queue = []
-        if len(start) <= max_size:
-            seen.add(start)
-            queue.append(start)
+        queue = [start] if len(start) <= max_size and start <= inside else []
+        seen = set(queue)
         while queue:
             current = queue.pop()
-            for x in self.ground - current:
+            for x in inside - current:
                 bigger = self.cl(current | {x})
-                if len(bigger) <= max_size and bigger not in seen:
+                if (len(bigger) <= max_size and bigger <= inside
+                        and bigger not in seen):
+                    if len(seen) == MAX_CLOSED_SETS:
+                        raise BudgetExceeded(
+                            f"more than {MAX_CLOSED_SETS} closed sets of at "
+                            f"most {max_size} points")
                     seen.add(bigger)
                     queue.append(bigger)
         return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))

@@ -467,11 +467,11 @@ def test_config_errors_exit_2():
     ["dichotomy", "--dim", "21", "--set", "[]"],
     ["surjection", "collisions", "--dim", "2", "--count", "0"],
     ["orbits", "--dim", "1", "--out", "/nonexistent/x.jsonl"],
-    # a general family at d=7 is capped before it is built
+    # a general construction at d=8 is capped before any closure work
     ["surjection", "verify", "--construction", "general", "--geometry",
-     "linear", "--dim", "7"],
+     "linear", "--dim", "8"],
     ["equivariance", "--construction", "general", "--geometry", "linear",
-     "--dim", "7", "--trials", "1"],
+     "--dim", "8", "--trials", "1"],
     # options a subcommand does not read
     ["surjection", "preimage", "--dim", "2", "--target", "[]",
      "--count", "2"],
@@ -492,6 +492,8 @@ def test_config_errors_exit_2():
     # operator grounds are capped before they are built
     ["axioms", "--geometry", "linear", "--dim", "30"],
     ["axioms", "--geometry", "identity", "--ground", "100000000"],
+    # closed-set searches stop at their count budget
+    ["axioms", "--geometry", "identity", "--ground", "128", "--bound", "0"],
     ["axioms", "--geometry", "linear", "--dim", "-1"],
 ], ids=" ".join)
 def test_bad_values_exit_2_without_traceback(argv):

@@ -1,6 +1,6 @@
 """The subset surjections, their preimages, and collision witnesses."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -76,11 +76,12 @@ def test_general_instance_layout():
     inst = dualdd.GeneralSurjection.build(pg.linear_operator(4))
     assert inst.anchor == frozenset()
     assert inst.anchor_closure == {0}
-    assert len(inst.closed_family) == 67  # all subspaces contain cl(empty)
+    # all 67 subspaces contain cl(empty)
+    assert len(inst.op.closed_sets_upto(16, inst.anchor)) == 67
 
     aff = dualdd.GeneralSurjection.build(pg.affine_operator(4))
     assert len(aff.witness) == 3 and len(aff.anchor) == 1
-    for w in aff.closed_family:
+    for w in aff.op.closed_sets_upto(16, aff.anchor):
         assert aff.op.cl(w) == w and aff.anchor_closure <= w
 
 
@@ -91,7 +92,7 @@ def test_surject_general_cases():
     # sets meeting cl(anchor) pass through unchanged
     assert dualdd.surject_general(inst, {0, 1}) == {0, 1}
     assert dualdd.surject_general(inst, {0, 3}) == {0, 3}
-    for w in inst.closed_family:
+    for w in inst.op.closed_sets_upto(16, inst.anchor):
         assert dualdd.surject_general(inst, w - inst.anchor_closure) \
             == frozenset()
 
@@ -144,6 +145,34 @@ def test_collision_pairs_linear():
         assert first != second
         assert dualdd.surject_linear(first, 3) \
             == dualdd.surject_linear(second, 3)
+
+
+def test_collision_pool_prefixes_match_the_full_pool():
+    for op in (pg.linear_operator(4), pg.affine_operator(3),
+               pg.affine_operator(4)):
+        inst = dualdd.GeneralSurjection.build(op)
+        family = op.closed_sets_upto(len(op.ground), inst.anchor)
+        diffs = {w - inst.anchor_closure for w in family} - {frozenset()}
+        full = sorted(diffs, key=lambda s: (len(s), sorted(s)))
+        for n in range(len(full) + 2):
+            assert list(islice(inst.collision_pool(), n)) == full[:n]
+
+
+def test_collision_pool_searches_one_size_at_a_time(monkeypatch):
+    inst = dualdd.GeneralSurjection.build(pg.linear_operator(4))
+    sizes = []
+    search = inst.op.closed_sets_upto
+
+    def recorded(max_size, base):
+        sizes.append(max_size)
+        return search(max_size, base)
+
+    monkeypatch.setattr(inst.op, "closed_sets_upto", recorded)
+    pool = inst.collision_pool()
+    assert next(pool) == {1}  # a line through 0, less 0
+    assert sizes == [2]
+    assert len(list(islice(pool, 15))) == 15  # the other 14 lines, a plane
+    assert sizes == [2, 3, 4]
 
 
 def test_collision_pairs_general():

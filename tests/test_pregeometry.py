@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
 
 from ddlab import pregeometry as pg
-from ddlab.errors import NoIndependentSet, SearchBudgetExceeded
+from ddlab.errors import (
+    BudgetExceeded,
+    NoIndependentSet,
+    SearchBudgetExceeded,
+)
 
 
 def brute_affine_hull(points, dim):
@@ -310,3 +315,35 @@ def test_closed_sets_upto():
     small = affine.closed_sets_upto(2)
     # empty set, 8 singletons, all 28 pairs
     assert len(small) == 1 + 8 + 28
+    # the search inside `within` finds exactly the closed sets inside it
+    rng = random.Random(12)
+    for op in (op, pg.linear_operator(4), affine, pg.affine_operator(4),
+               pg.degenerate_operator([[0, 1, 2], [3], [4, 5], [6, 7, 8, 9]]),
+               pg.identity_operator(7)):
+        labels = sorted(op.ground)
+        for trial in range(20):
+            base = frozenset(rng.sample(labels, rng.randint(0, 2)))
+            within = frozenset(rng.sample(labels, rng.randint(0, len(labels))))
+            if trial % 2:
+                within |= op.cl(base)
+            max_size = rng.randint(0, len(labels))
+            every = op.closed_sets_upto(max_size, base)
+            assert op.closed_sets_upto(max_size, base, within) \
+                == tuple(w for w in every if w <= within)
+
+
+def test_full_closure_memo_is_emptied(monkeypatch):
+    monkeypatch.setattr(pg, "MAX_MEMO", 4)
+    op = pg.linear_operator(3)
+    for v in range(1, 8):
+        assert op.cl({v}) == {0, v}
+        assert len(op._cache) == (v - 1) % 4 + 1
+
+
+def test_closed_sets_upto_budget(monkeypatch):
+    op = pg.identity_operator(5)
+    monkeypatch.setattr(pg, "MAX_CLOSED_SETS", 16)
+    assert len(op.closed_sets_upto(2)) == 16  # 1 + 5 + 10
+    monkeypatch.setattr(pg, "MAX_CLOSED_SETS", 15)
+    with pytest.raises(BudgetExceeded):
+        op.closed_sets_upto(2)
