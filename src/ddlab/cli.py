@@ -34,30 +34,39 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _parse_vectors(text: str, dim: int) -> frozenset[int]:
+def _checked(value, what: str, depth: int, leaf=None):
+    """`value` as JSON arrays nested `depth` deep, each entry inside them
+    passed through `leaf(entry, what)`, or else a JSON integer (true and
+    1.5 are not)."""
+    if depth:
+        if not isinstance(value, list):
+            raise ConfigError(f"{what}: {json.dumps(value)} is not an array")
+        return [_checked(entry, what, depth - 1, leaf) for entry in value]
+    if leaf:
+        return leaf(value, what)
+    if type(value) is not int:
+        raise ConfigError(f"{what}: {json.dumps(value)} is not an integer")
+    return value
+
+
+def _parse_json(text: str, what: str, depth: int, leaf=None):
+    """Decode `text` and check its shape with `_checked`."""
     try:
-        entries = json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON vector list: {exc}") from exc
-    if not isinstance(entries, list):
-        raise ConfigError("vector list must be a JSON array")
-    out = set()
-    for entry in entries:
+        raise ConfigError(f"bad JSON for {what}: {exc}") from exc
+    return _checked(value, what, depth, leaf)
+
+
+def _parse_vectors(text: str, dim: int, what: str) -> frozenset[int]:
+    def vector(entry, what):
         v, d = gf2core.vector_from_bits(str(entry))
         if d != dim:
-            raise ConfigError(f"vector {entry!r} does not match dim {dim}")
-        out.add(v)
-    return frozenset(out)
+            raise ConfigError(f"{what}: vector {entry!r} does not match "
+                              f"dim {dim}")
+        return v
 
-
-def _parse_labels(text: str) -> list[int]:
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON label list: {exc}") from exc
-    if not isinstance(entries, list):
-        raise ConfigError("label list must be a JSON array")
-    return [int(x) for x in entries]
+    return frozenset(_parse_json(text, what, 1, vector))
 
 
 def _make_operator(args) -> pregeometry.ClosureOperator:
@@ -71,11 +80,8 @@ def _make_operator(args) -> pregeometry.ClosureOperator:
     if kind == "degenerate":
         if args.partition is None:
             raise ConfigError("--geometry degenerate needs --partition")
-        try:
-            blocks = json.loads(args.partition)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad partition JSON: {exc}") from exc
-        return pregeometry.degenerate_operator(blocks)
+        return pregeometry.degenerate_operator(
+            _parse_json(args.partition, "--partition", 2))
     if args.ground is None:
         raise ConfigError("--geometry identity needs --ground")
     return pregeometry.identity_operator(args.ground)
@@ -84,9 +90,17 @@ def _make_operator(args) -> pregeometry.ClosureOperator:
 def _load_relation(path: str) -> definability.Relation:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return definability.Relation.from_json(json.load(handle))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            return _parse_json(handle.read(), path, 0, _relation)
+    except OSError as exc:
         raise ConfigError(f"cannot load relation from {path}: {exc}") from exc
+
+
+def _relation(obj, what: str) -> definability.Relation:
+    if not isinstance(obj, dict) or not {"n", "k", "tuples"} <= obj.keys():
+        raise ConfigError(f"{what} must hold an object with n, k and tuples")
+    return definability.Relation.from_tuples(
+        _checked(obj["n"], "n", 0), _checked(obj["k"], "k", 0),
+        _checked(obj["tuples"], "tuples", 2))
 
 
 def _cmd_axioms(args):
@@ -154,7 +168,7 @@ def _cmd_surjection_verify(args):
 def _cmd_surjection_preimage(args):
     construction = CONSTRUCTIONS[args.construction](args)
     dim = construction.dim
-    target = _parse_vectors(args.target, dim)
+    target = _parse_vectors(args.target, dim, "--target")
     trace = construction.preimage_trace(target)
     record = {"check": "surjection-preimage", **construction.params,
               "T": bits_list(target, dim), "S": bits_list(trace.source, dim),
@@ -203,7 +217,7 @@ def _cmd_support(args):
 def _cmd_synth(args):
     rel = _load_relation(args.file)
     if args.support is not None:
-        support = frozenset(_parse_labels(args.support))
+        support = frozenset(_parse_json(args.support, "--support", 1))
     else:
         support = definability.minimal_support(rel).members
     record = {"check": "synth", "n": rel.n, "k": rel.k,
@@ -218,7 +232,7 @@ def _cmd_synth(args):
 
 
 def _cmd_orbits(args):
-    fixed = _parse_vectors(args.fixed, args.dim) if args.fixed else frozenset()
+    fixed = _parse_vectors(args.fixed or "[]", args.dim, "--fixed")
     orbits = permlab.stabilizer_orbits(fixed, args.dim)
     record = {"check": "orbits", "dim": args.dim,
               "fixed": bits_list(fixed, args.dim),
@@ -230,8 +244,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_dichotomy(args):
-    fixed = _parse_vectors(args.fixed, args.dim) if args.fixed else frozenset()
-    subset = _parse_vectors(args.set, args.dim)
+    fixed = _parse_vectors(args.fixed or "[]", args.dim, "--fixed")
+    subset = _parse_vectors(args.set, args.dim, "--set")
     result = permlab.check_dichotomy(subset, fixed, args.dim)
     record = {"check": "dichotomy", "dim": args.dim,
               "fixed": bits_list(fixed, args.dim),
@@ -256,12 +270,9 @@ def _cmd_equivariance(args):
 
 
 def _cmd_sigma(args):
-    fixed = _parse_labels(args.fixed) if args.fixed else []
-    try:
-        raw_sets = json.loads(args.sets) if args.sets else []
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON for --sets: {exc}") from exc
-    families = [frozenset(int(x) for x in s) for s in raw_sets]
+    fixed = _parse_json(args.fixed or "[]", "--fixed", 1)
+    sets = _parse_json(args.sets or "[]", "--sets", 2)
+    families = [frozenset(s) for s in sets]
     classes = definability.signature_classes(args.ground, fixed, families)
     bound = len(set(fixed) & set(range(args.ground))) + (1 << len(families))
     record = {"check": "sigma", "ground": args.ground,
@@ -271,7 +282,7 @@ def _cmd_sigma(args):
               "class_count": len(classes), "bound": bound,
               "bound_ok": len(classes) <= bound}
     if args.target is not None:
-        target = _parse_labels(args.target)
+        target = _parse_json(args.target, "--target", 1)
         witness = definability.nonunion_witness(classes, target)
         record["target"] = sorted(set(target))
         record["witness"] = list(witness) if witness else None

@@ -5,7 +5,6 @@ the membership-signature partition gadgets.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +21,13 @@ from .errors import (
 )
 from .formulas import EqualityType, Formula, complete_types, evaluate
 
+# Caps checked before any work.  n^k of a relation: 12x the largest used by
+# the tests, golden cases and benchmark (7^3); at the cap, `support
+# --compare` took 6.7 CPU-s on a full unary relation (2-core x86-64).
+MAX_TUPLE_SPACE = 1 << 12
+# The ground of `signature_classes`: `sigma` there takes 0.4 CPU-s, 33 MB.
+MAX_SIGNATURE_GROUND = 1 << 16
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -34,6 +40,10 @@ class Relation:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 and k >= 1")
+        top = MAX_TUPLE_SPACE.bit_length()  # k first: no huge power
+        if self.k >= top or self.n ** self.k > MAX_TUPLE_SPACE:
+            raise ValueError(f"n={self.n}, k={self.k} is above the cap of "
+                             f"n^k <= {MAX_TUPLE_SPACE} with k < {top}")
         for t in self.tuples:
             if len(t) != self.k or any(not 0 <= x < self.n for x in t):
                 raise ValueError(f"bad tuple {t} for n={self.n}, k={self.k}")
@@ -41,14 +51,6 @@ class Relation:
     @classmethod
     def from_tuples(cls, n: int, k: int, tuples) -> "Relation":
         return cls(n, k, frozenset(tuple(t) for t in tuples))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Relation":
-        return cls.from_tuples(obj["n"], obj["k"], obj["tuples"])
-
-    @classmethod
-    def loads(cls, text: str) -> "Relation":
-        return cls.from_json(json.loads(text))
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k,
@@ -312,8 +314,8 @@ def signature_classes(n: int, fixed: Iterable[int],
                       ) -> tuple[frozenset[int], ...]:
     """Partition of {0..n-1}: fixed points are singletons, and the rest
     group by their membership signature across the given sets."""
-    if n < 0:
-        raise ValueError("ground size must be non-negative")
+    if not 0 <= n <= MAX_SIGNATURE_GROUND:
+        raise ValueError(f"ground size must be 0..{MAX_SIGNATURE_GROUND}")
     fixed = frozenset(fixed) & set(range(n))
     families = [frozenset(s) for s in sets]
     buckets: dict[tuple[bool, ...], set[int]] = {}

@@ -229,14 +229,12 @@ class GeneralSurjection:
 
     def collision_pool(self) -> Iterator[frozenset[int]]:
         """The nonempty sets W - cl(anchor), for W closed over the anchor,
-        by (size, sorted points): all map to empty.  Each size is searched
-        only when the one before it has been read."""
-        low = len(self.anchor_closure)
-        for size in range(low + 1, len(self.op.ground) + 1):
-            for w in self.op.closed_sets_upto(size, self.anchor):
-                # sets of one size sort alike with or without cl(anchor)
-                if len(w) == size:
-                    yield w - self.anchor_closure
+        by (size, sorted points): all map to empty.  One closed-set search,
+        read only as far as the caller reads."""
+        family = self.op.closed_sets_upto(len(self.op.ground), self.anchor)
+        # skip cl(anchor) itself; sets of one size sort alike with or
+        # without cl(anchor)
+        return (w - self.anchor_closure for w in islice(family, 1, None))
 
     def sample_map(self, rng: random.Random) -> Callable[[int], int]:
         """A closure-preserving ground permutation fixing the anchor
@@ -264,8 +262,8 @@ def _qualifying_max(inst: GeneralSurjection, s: frozenset[int]
                     ) -> list[frozenset[int]]:
     """The largest closed sets W over the anchor with W - cl(anchor)
     inside s, by sorted points; never empty (cl(anchor) qualifies)."""
-    family = inst.op.closed_sets_upto(len(inst.op.ground), inst.anchor,
-                                      s | inst.anchor_closure)
+    family = tuple(inst.op.closed_sets_upto(
+        len(inst.op.ground), inst.anchor, s | inst.anchor_closure))
     return [w for w in family if len(w) == len(family[-1])]
 
 

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 
-DEFAULT_PERM_BUDGET = 40320  # 8!
+PERM_BUDGET = math.factorial(8)  # the most maps one search may face
 # The operator makers refuse larger grounds before building them.  The
 # least work of any axiom run is quadratic in the ground (exchange over the
 # pairs outside cl(empty)): at 2^14 points that run took 18.5 CPU-s and
@@ -70,31 +70,43 @@ class ClosureOperator:
     def closed_sets_upto(self, max_size: int,
                          base: frozenset[int] = frozenset(),
                          within: Iterable[int] | None = None
-                         ) -> tuple[frozenset[int], ...]:
-        """All closed sets of size <= max_size that contain `base` and lie
-        inside `within` (default: the ground), sorted by (size, points).
+                         ) -> Iterator[frozenset[int]]:
+        """Yield the closed sets of size <= max_size that contain `base`
+        and lie inside `within` (default: the ground), by (size, points).
 
-        The search closes one-point extensions of cl(base) by points of
-        `within` and drops every closure that leaves it.  For a monotone
-        operator this reaches each such set, because the chain to it stays
-        inside it.  Raises BudgetExceeded past MAX_CLOSED_SETS sets."""
+        Found sets wait in one bucket per size.  The smallest bucket is
+        yielded sorted, and only then are its sets extended: the closure
+        of each one-point extension by a point of `within` is kept if it
+        is larger, at most max_size and inside `within`.  For a monotone,
+        extensive operator this reaches each such set, because the chain
+        to it stays inside it.  Raises BudgetExceeded past MAX_CLOSED_SETS
+        sets found."""
         inside = self.ground if within is None else frozenset(within)
         start = self.cl(base)
-        queue = [start] if len(start) <= max_size and start <= inside else []
-        seen = set(queue)
-        while queue:
-            current = queue.pop()
-            for x in inside - current:
-                bigger = self.cl(current | {x})
-                if (len(bigger) <= max_size and bigger <= inside
-                        and bigger not in seen):
-                    if len(seen) == MAX_CLOSED_SETS:
-                        raise BudgetExceeded(
-                            f"more than {MAX_CLOSED_SETS} closed sets of at "
-                            f"most {max_size} points")
-                    seen.add(bigger)
-                    queue.append(bigger)
-        return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
+        if len(start) > max_size or not start <= inside:
+            return
+        buckets = {len(start): {start}}
+        found = 1
+        while buckets:
+            size = min(buckets)
+            level = sorted(buckets.pop(size), key=sorted)
+            yield from level
+            if size == max_size:
+                continue
+            for current in level:
+                for x in inside - current:
+                    bigger = self.cl(current | {x})
+                    grown = len(bigger)
+                    if not size < grown <= max_size or not bigger <= inside:
+                        continue
+                    bucket = buckets.setdefault(grown, set())
+                    if bigger not in bucket:
+                        if found == MAX_CLOSED_SETS:
+                            raise BudgetExceeded(
+                                f"more than {MAX_CLOSED_SETS} closed sets "
+                                f"of at most {max_size} points")
+                        found += 1
+                        bucket.add(bigger)
 
     def __repr__(self):
         return f"ClosureOperator(kind={self.kind!r}, size={self.size})"
@@ -275,58 +287,25 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _preserving_maps(start: dict[int, int], points: list[int],
-                     due: list[list[tuple[int, ...]]],
-                     closed: frozenset[int]):
-    """Yield every permutation of `points` (the sorted positions of a
-    closed set) that extends the partial map `start` and carries each
-    closed subset of the set onto a closed set, as the tuple of the bits of
-    the images of `points`, in lexicographic order of the images.
+def _exists(image: dict[int, int], points: list[int],
+            options: list[list[int]], due: list[list[tuple[int, ...]]],
+            closed: frozenset[int], leaf=None, i: int = 0,
+            used: int = 0) -> bool:
+    """Whether points[i:] can take distinct images, each tried in the
+    order of its options and outside the bits `used`, so that each closed
+    set due at a point lands on a closed set and `leaf(image)` holds at
+    the complete map (any complete map counts when `leaf` is None).
 
-    Points get their images in ascending order.  due[i] lists the closed
-    subsets to test once points[i] has an image, each as the tuple of its
-    other points, which all come before points[i].  Their image masks are
-    computed once per node; a candidate image y passes when `rest | 1 << y`
-    is in `closed` for each of them.  A partial map is dropped at its first
-    broken subset.  On a closed set, preserving its closed subsets is the
-    same as preserving cl on all its subsets.
+    `image` maps each point placed before points[i] to the bit of its
+    image.  due[i] lists the closed sets to test once points[i] has an
+    image, each as the tuple of its other points, all placed earlier; a
+    candidate y passes when `rest | 1 << y` is in `closed` for each.
     """
-    image: dict[int, int] = {}  # point -> the bit of its image
-    last = len(points) - 1
-
-    def place(i, used):
-        x = points[i]
-        rests = [sum(map(image.__getitem__, r)) for r in due[i]]
-        pinned = start.get(x)
-        for y in points if pinned is None else (pinned,):
-            bit = 1 << y
-            if pinned is None and used & bit:
-                continue
-            for r in rests:
-                if r | bit not in closed:
-                    break
-            else:
-                image[x] = bit
-                if i == last:
-                    yield tuple(map(image.__getitem__, points))
-                else:
-                    yield from place(i + 1, used | bit)
-
-    return place(0, sum(1 << y for y in start.values()))
-
-
-def _extends(image: dict[int, int], free: list[int],
-             due: list[list[tuple[int, ...]]], closed: frozenset[int],
-             i: int = 0, used: int = 0) -> bool:
-    """Whether the points free[i:] can take distinct images among `free`,
-    outside the bits `used`, so that each closed set due at a point lands
-    on a closed set.  `image` holds the bit of the image of
-    every point placed before free[i], the pinned ones included.  Only
-    existence is asked, so the order of the candidates does not matter."""
-    x = free[i]
+    if i == len(points):
+        return leaf is None or leaf(image)
+    x = points[i]
     rests = [sum(map(image.__getitem__, r)) for r in due[i]]
-    last = i + 1 == len(free)
-    for y in free:
+    for y in options[i]:
         bit = 1 << y
         if used & bit:
             continue
@@ -334,17 +313,15 @@ def _extends(image: dict[int, int], free: list[int],
             if r | bit not in closed:
                 break
         else:
-            if last:
-                return True
             image[x] = bit
-            if _extends(image, free, due, closed, i + 1, used | bit):
+            if _exists(image, points, options, due, closed, leaf, i + 1,
+                       used | bit):
                 return True
     return False
 
 
 def check_local_homogeneity(op: ClosureOperator, max_closed: int,
-                            max_extension: int,
-                            perm_budget: int = DEFAULT_PERM_BUDGET) -> AxiomReport:
+                            max_extension: int) -> AxiomReport:
     """Bounded check of local homogeneity.
 
     For every closed T (|T| <= max_closed), closed S inside T, and distinct
@@ -356,14 +333,17 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     Sets are bitmasks over the positions of the sorted ground.  A map is
     tested only on closed subsets from a size class in which some set of
     the ground is not closed (a bijection keeps sizes), and never on the
-    set it permutes.  The extension of a map of T to U places the points
-    of U - T only, and skips the closed subsets inside T, which the search
-    on T has tested.
+    set it permutes; on a closed set, preserving its closed subsets is
+    the same as preserving cl on all its subsets.  Both searches are
+    `_exists`.  The extension of a map of T to U places the points of
+    U - T only, and skips the closed subsets inside T, which the search on
+    T has tested.  A search facing more than PERM_BUDGET permutations
+    raises SearchBudgetExceeded.
     """
     if not 0 <= max_closed <= max_extension <= op.size:
         raise ValueError(
             "need 0 <= max_closed <= max_extension <= ground size")
-    closed_all = op.closed_sets_upto(max_extension)  # smallest first
+    closed_all = tuple(op.closed_sets_upto(max_extension))  # smallest first
     labels = sorted(op.ground)
     bit_of = {x: 1 << i for i, x in enumerate(labels)}
     masks = [sum(map(bit_of.__getitem__, w)) for w in closed_all]
@@ -382,9 +362,9 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     inside: dict[int, list[int]] = {}  # u -> its closed subsets to test
 
     def shape(u: int, t: int):
-        """The points of u - t, ascending, and at each the closed subsets
-        of u to test when it is placed: those not inside t whose last point
-        outside t it is."""
+        """The points of u - t, ascending, each with the options u - t and
+        the closed subsets of u to test when it is placed: those not
+        inside t whose last point outside t it is."""
         subsets = inside.get(u)
         if subsets is None:
             subsets = inside[u] = [w for x in _points(u) for w in lowest[x]
@@ -395,41 +375,43 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
             if w | t != t:
                 x = (w & ~t).bit_length() - 1
                 due[x].append(tuple(_points(w ^ 1 << x)))
-        return free, [due[x] for x in free]
+        return free, [free] * len(free), [due[x] for x in free]
 
     bad = []
     checked = 0
     for t, ambient in zip(masks, closed_all):
         if len(ambient) > max_closed:
             break
-        if math.factorial(len(ambient)) > perm_budget:
+        if math.factorial(len(ambient)) > PERM_BUDGET:
             raise SearchBudgetExceeded(
                 f"permutation search over {len(ambient)}!",
                 {"ambient": sorted(ambient)})
         if len(ambient) < 2:
             continue  # no two points to move
-        points, due = shape(t, 0)
+        points, _, due = shape(t, 0)
         supersets = [u for u in holders[points[0]] if u & t == t and u != t]
         plans: list = [None] * len(supersets)  # shape(u, t), on demand
         extends: dict[tuple, bool] = {}  # a map of T, by its image bits
 
-        def extends_everywhere(images, instance) -> bool:
-            hit = extends.get(images)
+        def extends_everywhere(image) -> bool:
+            # raises for the current `instance`; the extensions add the
+            # points of U - T to `image`, which the search on T never reads
+            key = tuple(map(image.__getitem__, points))
+            hit = extends.get(key)
             if hit is None:
                 hit = True
-                image = dict(zip(points, images))
                 for j, u in enumerate(supersets):
                     rest = u.bit_count() - len(points)
-                    if math.factorial(rest) > perm_budget:
+                    if math.factorial(rest) > PERM_BUDGET:
                         raise SearchBudgetExceeded(
                             f"extension search over {rest}! permutations",
                             instance)
                     if plans[j] is None:
                         plans[j] = shape(u, t)
-                    if not _extends(image, *plans[j], closed):
+                    if not _exists(image, *plans[j], closed):
                         hit = False
                         break
-                extends[images] = hit
+                extends[key] = hit
             return hit
 
         ambient_labels = [labels[x] for x in points]
@@ -442,11 +424,11 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
                 instance = {"fixed": [labels[x] for x in fixed_points],
                             "ambient": ambient_labels,
                             "a": labels[a], "b": labels[b]}
-                pinned = {x: x for x in fixed_points}
-                pinned[a] = b
-                if not any(extends_everywhere(images, instance)
-                           for images in _preserving_maps(
-                               pinned, points, due, closed)):
+                others = _points(t & ~fixed & ~(1 << b))
+                options = [[b] if x == a else [x] if fixed >> x & 1
+                           else others for x in points]
+                if not _exists({}, points, options, due, closed,
+                               extends_everywhere):
                     bad.append(instance)
     status = "BOUNDED-PASS" if not bad else "FAIL"
     return AxiomReport(

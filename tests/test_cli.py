@@ -495,8 +495,30 @@ def test_config_errors_exit_2():
     # closed-set searches stop at their count budget
     ["axioms", "--geometry", "identity", "--ground", "128", "--bound", "0"],
     ["axioms", "--geometry", "linear", "--dim", "-1"],
+    # labels, tuple entries, n and k must be JSON integers
+    ["sigma", "--ground", "3", "--fixed", "[[1]]"],
+    ["sigma", "--ground", "3", "--target", "[[0]]"],
+    ["sigma", "--ground", "3", "--sets", "[1]"],
+    ["sigma", "--ground", "3", "--sets", "5"],
+    ["sigma", "--ground", "3", "--fixed", "[1.5]"],
+    ["sigma", "--ground", "3", "--fixed", "[true]"],
+    ["axioms", "--geometry", "degenerate", "--partition", "[1]"],
+    ["support", "--file", '{"n": 3, "k": 1, "tuples": [1]}'],
+    ["synth", "--file", '{"n": "3", "k": 1, "tuples": []}'],
+    ["support", "--file", '{"n": 3.5, "k": 1, "tuples": []}'],
+    ["synth", "--file", "[1, 2]"],
+    ["support", "--file", '{"n": 3, "k": 1, "tuples": [[true]]}'],
+    # relations and signature grounds are capped before any work
+    ["support", "--compare", "--file", '{"n": 100, "k": 5, "tuples": []}'],
+    ["synth", "--file", '{"n": 100, "k": 5, "tuples": []}'],
+    ["sigma", "--ground", "100000000"],
 ], ids=" ".join)
-def test_bad_values_exit_2_without_traceback(argv):
+def test_bad_values_exit_2_without_traceback(argv, tmp_path):
+    if "--file" in argv:  # the text after --file is the file's content
+        at = argv.index("--file") + 1
+        path = tmp_path / "rel.json"
+        path.write_text(argv[at])
+        argv = [*argv[:at], str(path), *argv[at + 1:]]
     proc = subprocess.run([sys.executable, "-m", "ddlab.cli", *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2

@@ -1,10 +1,12 @@
 """Supports, synthesis, the partition dichotomy, and signature classes."""
 
+import json
 import random
 from itertools import combinations, product
 
 import pytest
 
+from ddlab import cli
 from ddlab import definability as df
 from ddlab import formulas as fm
 from ddlab.errors import (
@@ -332,10 +334,13 @@ def test_nonunion_witness():
     assert df.nonunion_witness(classes, {1}) == (1, 2)
 
 
-def test_relation_json_round_trip():
+def test_relation_json_round_trip(tmp_path):
+    # relation files are read by the command line's checked JSON reader
+    path = tmp_path / "rel.json"
     rel = rel_of(4, 2, [(0, 1), (2, 3)])
-    assert df.Relation.from_json(rel.to_json()) == rel
-    assert df.Relation.loads('{"n": 3, "k": 1, "tuples": [[2]]}') \
-        == rel_of(3, 1, [(2,)])
+    path.write_text(json.dumps(rel.to_json()))
+    assert cli._load_relation(str(path)) == rel
+    path.write_text('{"n": 3, "k": 1, "tuples": [[2]]}')
+    assert cli._load_relation(str(path)) == rel_of(3, 1, [(2,)])
     with pytest.raises(ValueError):
         rel_of(3, 1, [(5,)])

@@ -77,7 +77,7 @@ def test_general_instance_layout():
     assert inst.anchor == frozenset()
     assert inst.anchor_closure == {0}
     # all 67 subspaces contain cl(empty)
-    assert len(inst.op.closed_sets_upto(16, inst.anchor)) == 67
+    assert len(tuple(inst.op.closed_sets_upto(16, inst.anchor))) == 67
 
     aff = dualdd.GeneralSurjection.build(pg.affine_operator(4))
     assert len(aff.witness) == 3 and len(aff.anchor) == 1
@@ -158,21 +158,21 @@ def test_collision_pool_prefixes_match_the_full_pool():
             assert list(islice(inst.collision_pool(), n)) == full[:n]
 
 
-def test_collision_pool_searches_one_size_at_a_time(monkeypatch):
+def test_collision_pool_runs_one_search(monkeypatch):
     inst = dualdd.GeneralSurjection.build(pg.linear_operator(4))
-    sizes = []
+    calls = []
     search = inst.op.closed_sets_upto
 
-    def recorded(max_size, base):
-        sizes.append(max_size)
-        return search(max_size, base)
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
 
     monkeypatch.setattr(inst.op, "closed_sets_upto", recorded)
     pool = inst.collision_pool()
     assert next(pool) == {1}  # a line through 0, less 0
-    assert sizes == [2]
-    assert len(list(islice(pool, 15))) == 15  # the other 14 lines, a plane
-    assert sizes == [2, 3, 4]
+    # the other 14 lines, then planes and the whole space, less 0
+    assert len(list(islice(pool, 50))) == 50
+    assert calls == [(16, inst.anchor)]
 
 
 def test_collision_pairs_general():

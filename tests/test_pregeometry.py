@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -247,12 +247,13 @@ def test_local_homogeneity_reports_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LH_SHA256
 
 
-def test_local_homogeneity_budget():
+def test_local_homogeneity_budget(monkeypatch):
     # each extension is budgeted when its search is about to run, so the
     # first query of a 2-point T already needs a 6-point U: 4! > 10
+    monkeypatch.setattr(pg, "PERM_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded) as info:
-        pg.check_local_homogeneity(pg.identity_operator(6), 5, 6,
-                                   perm_budget=10)
+        pg.check_local_homogeneity(pg.identity_operator(6), 5, 6)
+    monkeypatch.undo()
     assert str(info.value) == "extension search over 4! permutations"
     assert info.value.instance == {"fixed": [], "ambient": [0, 1],
                                    "a": 0, "b": 1}
@@ -308,11 +309,11 @@ def test_verify_closure_cardinality():
 
 def test_closed_sets_upto():
     op = pg.linear_operator(3)
-    closed = op.closed_sets_upto(8)
+    closed = tuple(op.closed_sets_upto(8))
     assert len(closed) == 16  # all subspaces of GF(2)^3
     assert all(op.cl(c) == c for c in closed)
     affine = pg.affine_operator(3)
-    small = affine.closed_sets_upto(2)
+    small = tuple(affine.closed_sets_upto(2))
     # empty set, 8 singletons, all 28 pairs
     assert len(small) == 1 + 8 + 28
     # the search inside `within` finds exactly the closed sets inside it
@@ -328,7 +329,7 @@ def test_closed_sets_upto():
                 within |= op.cl(base)
             max_size = rng.randint(0, len(labels))
             every = op.closed_sets_upto(max_size, base)
-            assert op.closed_sets_upto(max_size, base, within) \
+            assert tuple(op.closed_sets_upto(max_size, base, within)) \
                 == tuple(w for w in every if w <= within)
 
 
@@ -343,7 +344,22 @@ def test_full_closure_memo_is_emptied(monkeypatch):
 def test_closed_sets_upto_budget(monkeypatch):
     op = pg.identity_operator(5)
     monkeypatch.setattr(pg, "MAX_CLOSED_SETS", 16)
-    assert len(op.closed_sets_upto(2)) == 16  # 1 + 5 + 10
+    assert len(tuple(op.closed_sets_upto(2))) == 16  # 1 + 5 + 10
     monkeypatch.setattr(pg, "MAX_CLOSED_SETS", 15)
     with pytest.raises(BudgetExceeded):
-        op.closed_sets_upto(2)
+        tuple(op.closed_sets_upto(2))
+
+
+def test_closed_sets_upto_reads_lazily():
+    # the smallest set is yielded before any extension is closed, so a
+    # search far past the budget still gives its first set
+    assert next(pg.identity_operator(128).closed_sets_upto(8)) == frozenset()
+    # a size is extended only once it has been read, and sets already at
+    # max_size never are: cl of the empty set, of the 5 points and of the
+    # 10 pairs is memoized, and of no triple
+    op = pg.identity_operator(5)
+    sets = op.closed_sets_upto(2)
+    assert list(islice(sets, 6)) == [frozenset()] + [{x} for x in range(5)]
+    assert len(op._cache) == 6
+    assert len(tuple(sets)) == 10
+    assert len(op._cache) == 16
