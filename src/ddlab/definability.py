@@ -23,7 +23,8 @@ from .formulas import EqualityType, Formula, complete_types, evaluate
 
 # Caps checked before any work.  n^k of a relation: 12x the largest used by
 # the tests, golden cases and benchmark (7^3); at the cap, `support
-# --compare` took 6.7 CPU-s on a full unary relation (2-core x86-64).
+# --compare` takes 0.1-0.3 CPU-s on a full relation of arity 1-4 (2-core
+# x86-64).
 MAX_TUPLE_SPACE = 1 << 12
 # The ground of `signature_classes`: `sigma` there takes 0.4 CPU-s, 33 MB.
 MAX_SIGNATURE_GROUND = 1 << 16
@@ -62,13 +63,24 @@ class Relation:
                                   for t in self.tuples))
 
 
-def _preserved(tuples: frozenset, a: int, b: int) -> bool:
+def _by_point(n: int, tuples: frozenset) -> list[list[tuple[int, ...]]]:
+    """For each point of {0..n-1}, the tuples that contain it, listed
+    once per occurrence."""
+    by_point: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for t in tuples:
+        for x in t:
+            by_point[x].append(t)
+    return by_point
+
+
+def _preserved(tuples: frozenset, by_point: list, a: int, b: int) -> bool:
     """True when the transposition (a b) maps the tuple set onto itself.
     It fixes every tuple without a or b and is a bijection, so it is
-    enough that each tuple it moves lands in the set."""
+    enough that each tuple it moves, one of by_point[a] + by_point[b],
+    lands in the set."""
     swap = {a: b, b: a}
     return all(tuple(map(swap.get, t, t)) in tuples
-               for t in tuples if a in t or b in t)
+               for t in by_point[a] + by_point[b])
 
 
 def _transposition_classes(rel: Relation) -> list[list[int]]:
@@ -76,10 +88,11 @@ def _transposition_classes(rel: Relation) -> list[list[int]]:
     This is an equivalence, because (b c) = (a b)(a c)(a b) (Dixon and
     Mortimer, Permutation Groups, GTM 163, 1996), so each point is tested
     against one representative per class."""
+    by_point = _by_point(rel.n, rel.tuples)
     classes: list[list[int]] = []
     for x in range(rel.n):
         for cls in classes:
-            if _preserved(rel.tuples, cls[0], x):
+            if _preserved(rel.tuples, by_point, cls[0], x):
                 cls.append(x)
                 break
         else:
@@ -98,7 +111,11 @@ def is_support(rel: Relation, members: Iterable[int]) -> bool:
 
 def _is_support(n: int, tuples: frozenset, members: frozenset[int]) -> bool:
     outside = [x for x in range(n) if x not in members]
-    return all(_preserved(tuples, outside[0], b) for b in outside[1:])
+    if len(outside) < 2:
+        return True
+    by_point = _by_point(n, tuples)
+    return all(_preserved(tuples, by_point, outside[0], b)
+               for b in outside[1:])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Supports, synthesis, the partition dichotomy, and signature classes."""
 
+import io
 import json
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -125,6 +127,24 @@ def test_minimal_support_agrees_with_brute_force_unary():
 def test_minimal_support_agrees_with_brute_force_random():
     for rel in random_relations(random.Random(36), 200, 6, 3):
         _assert_minimal_support_matches_brute(rel)
+
+
+def test_support_compare_on_a_full_unary_relation_at_the_cap(tmp_path):
+    # all 4,096 points form one transposition class; each transposition
+    # tested reads only the tuples through its two points
+    n = df.MAX_TUPLE_SPACE
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(rel_of(n, 1, [(x,) for x in range(n)])
+                               .to_json()))
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    assert cli.main(["support", "--file", str(path), "--compare"],
+                    stream=out) == 0
+    elapsed = time.perf_counter() - t0
+    record = json.loads(out.getvalue())
+    assert record["minimal"] == [] and record["recursive"] == []
+    assert not record["ambiguous"] and record["size_gap"] == 0
+    assert elapsed < 2.0
 
 
 def test_minimal_support_examples():

@@ -78,7 +78,8 @@ def test_span_closure_properties_randomized(dim, data):
 def test_extend_independent_examples():
     assert gf2core.extend_independent([1], 2, 3) == [2, 4]
     assert gf2core.extend_independent([], 1, 1) == [1]
-    with pytest.raises(DimensionExhausted):
+    with pytest.raises(DimensionExhausted,
+                       match="^rank 3 \\+ 1 exceeds dim 3$"):
         gf2core.extend_independent([1, 2, 4], 1, 3)
 
 
@@ -198,6 +199,35 @@ def test_vector_serialization_round_trip():
         assert gf2core.vector_from_bits(text) == (v, d)
     with pytest.raises(ValueError):
         gf2core.vector_from_bits("01x")
+
+
+def test_bits_list_rejects_out_of_range_at_either_end():
+    # sorting puts -1 first and 1 << d last; both fail as vector_to_bits does
+    for vectors, v in (([3, -1, 0], -1), ([0, 8, 5], 8)):
+        with pytest.raises(ValueError,
+                           match=f"^vector {v} out of range for dim 3$"):
+            gf2core.bits_list(vectors, 3)
+
+
+def test_bit_strings_match_format():
+    rng = random.Random(15)
+    for _ in range(2000):
+        d = rng.randint(1, 24)
+        vs = {rng.getrandbits(d) for _ in range(rng.randint(0, 6))}
+        expected = [format(v, f"0{d}b")[::-1] for v in sorted(vs)]
+        assert gf2core.bits_list(vs, d) == expected
+        assert [gf2core.vector_to_bits(v, d) for v in sorted(vs)] == expected
+
+
+def test_bit_string_table_stays_under_its_cap():
+    d = 20
+    table = gf2core._bit_table(d)
+    for start in range(0, 5 << 14, 1 << 12):  # 81,920 distinct vectors
+        chunk = range(start, start + (1 << 12))
+        texts = gf2core.bits_list(chunk, d)
+        assert len(table) <= gf2core.MAX_BIT_STRINGS
+        assert texts[-1] == format(chunk[-1], f"0{d}b")[::-1]
+        assert gf2core.vector_to_bits(start, d) == texts[0]
 
 
 def test_vector_to_bits_rejects_out_of_range():

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from ddlab import _kernels
+from ddlab import _kernels, gf2core
 from ddlab._kernels import _pure
+from ddlab.errors import DimensionExhausted
 
 try:
     from ddlab._kernels import _gf2ext
@@ -74,6 +75,43 @@ def test_rref_basis_is_canonical(impl):
             for j, other in enumerate(basis):
                 if i != j:
                     assert not other >> lead & 1  # leading bits exclusive
+
+
+def oracle_extend(avoid, count, dim):
+    """`count` picks, each the least vector outside the span so far."""
+    current = oracle_span(avoid)
+    picks = []
+    for _ in range(count):
+        v = min(x for x in range(1 << dim) if x not in current)
+        picks.append(v)
+        current |= {v ^ w for w in current}
+    return picks
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+def test_extend_independent_matches_oracle(impl, monkeypatch):
+    # gf2core reads its one kernel, rref_basis, from the _kernels module
+    monkeypatch.setattr(_kernels, "rref_basis", impl.rref_basis)
+    rng = random.Random(8)
+    for _ in range(2000):
+        d = rng.randint(1, 9)
+        avoid = []
+        for _ in range(rng.randint(0, d + 2)):
+            roll = rng.random()
+            if roll < 0.15:
+                avoid.append(0)
+            elif roll < 0.45 and avoid:  # a duplicate or a dependent vector
+                avoid.append(rng.choice(avoid) ^ rng.choice([0] + avoid))
+            else:
+                avoid.append(rng.getrandbits(d))
+        rank = _pure.gf2_rank(avoid)
+        count = rng.randint(0, d - rank)
+        assert gf2core.extend_independent(avoid, count, d) \
+            == oracle_extend(avoid, count, d), (avoid, count, d)
+        with pytest.raises(DimensionExhausted,
+                           match=f"^rank {rank} \\+ {d - rank + 1} "
+                                 f"exceeds dim {d}$"):
+            gf2core.extend_independent(avoid, d - rank + 1, d)
 
 
 @pytest.mark.parametrize("impl", BACKENDS)
