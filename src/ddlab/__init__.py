@@ -39,6 +39,7 @@ from .gf2core import (
 )
 from .permlab import (
     check_dichotomy,
+    check_dichotomy_mask,
     check_equivariance,
     stabilizer_orbits,
 )

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .errors import IntermediateAssertFailed
@@ -23,25 +25,93 @@ from .gf2core import (
 EQUIVARIANCE_MAX_DIM = 10
 
 
-class _ImageTable(dict):
-    """x -> pi(x) for a linear map pi, each image computed on first lookup,
-    so a table costs only the vectors its sets actually contain."""
+# The most mask bits an orbit partition's tables hold, counting each entry
+# as the 2^dim bits of a mask; an entry that would pass it first empties
+# every table of the partition, as pregeometry.MAX_MEMO's memo is.  That is
+# 2^20 entries at dim 4, more than criterion 8 fills, and 256 at dim 16.
+MAX_TABLE_BITS = 1 << 24
 
-    __slots__ = ("pi",)
 
-    def __init__(self, pi: LinearMap):
+class _Bits(dict):
+    """x -> 1 << x for the vectors of one partition, range-checked and
+    stored on first lookup."""
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner: OrbitPartition):
         super().__init__()
-        self.pi = pi
+        self.owner = owner
 
     def __missing__(self, x: int) -> int:
-        y = self[x] = self.pi.apply(x)
-        return y
+        dim = self.owner.dim
+        if not 0 <= x < 1 << dim:
+            raise ValueError(f"vector {x} out of range for dim {dim}")
+        bit = 1 << x
+        self.owner._admit()
+        self[x] = bit
+        return bit
+
+
+class _ByteImages(dict):
+    """A witness's image table: key (c << 8) | b, for a nonzero byte b of
+    chunk c of a mask (the points 8c .. 8c + 7), -> the mask of the images
+    of that byte's points.  An entry is built on first lookup from the
+    entries of its lowest point and of the rest of its byte."""
+
+    __slots__ = ("owner", "pi")
+
+    def __init__(self, owner: OrbitPartition, pi: LinearMap):
+        super().__init__()
+        self.owner = owner
+        self.pi = pi
+
+    def image(self, mask: int) -> int:
+        """The mask of the images of the points of `mask`."""
+        image = base = 0
+        for byte in mask.to_bytes(self.owner.mask_bytes, "little"):
+            if byte:
+                image |= self[base | byte]
+            base += 256
+        return image
+
+    def __missing__(self, key: int) -> int:
+        low = key & -key
+        if key & 0xFF == low:
+            image = 1 << self.pi.apply(key >> 8 << 3 | low.bit_length() - 1)
+        else:
+            image = self[key ^ low] | self[key & ~0xFF | low]
+        self.owner._admit()
+        self[key] = image
+        return image
+
+
+class _Moves(dict):
+    """(u, v) -> the not-invariant result moving u to v and its witness's
+    image table, built on first lookup and shared by every set moved
+    through the same pair."""
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner: OrbitPartition):
+        super().__init__()
+        self.owner = owner
+
+    def __missing__(self, key: tuple[int, int]
+                    ) -> tuple[DichotomyResult, _ByteImages]:
+        pi = self.owner.moving_map(*key)
+        hit = self[key] = (DichotomyResult("not-invariant", pi, key),
+                           _ByteImages(self.owner, pi))
+        return hit
 
 
 class OrbitPartition:
     """Orbits of the pointwise stabilizer of span(fixed) in GL(d, 2):
     each span vector is a singleton, everything else is one block.  A
-    moving-map witness is built only when `moving_map` is asked for it."""
+    moving-map witness is built only when `moving_map` is asked for it.
+
+    `bits` (x -> 1 << x) and `moves` (each moved pair's result and
+    witness image table) are filled on first use; the entries of `bits`
+    and of the image tables together stay within MAX_TABLE_BITS."""
 
     def __init__(self, dim: int, fixed: Iterable[int]):
         check_dim(dim)
@@ -57,26 +127,29 @@ class OrbitPartition:
             blocks.append(self.complement)
         self.blocks = tuple(sorted(blocks, key=min))
         # bit v of a 2^dim-bit mask stands for the vector v
-        self.complement_mask = sum(1 << v for v in self.complement)
-        self._moves: dict[tuple[int, int],
-                          tuple[DichotomyResult, _ImageTable]] = {}
+        marks = bytearray(((1 << dim) + 7) >> 3)
+        for w in self.fixed_span:
+            marks[w >> 3] |= 1 << (w & 7)
+        self.complement_mask = (((1 << (1 << dim)) - 1)
+                                ^ int.from_bytes(marks, "little"))
+        self.mask_bytes = len(marks)
+        self.bits = _Bits(self)
+        self._held = 0  # entries in `bits` and every image table
+        self.moves = _Moves(self)
+
+    def _admit(self) -> None:
+        """Count one more table entry, emptying every table first when it
+        would take them past MAX_TABLE_BITS."""
+        if (self._held + 1) << self.dim > MAX_TABLE_BITS:
+            self.bits.clear()
+            for _, images in self.moves.values():
+                images.clear()
+            self._held = 0
+        self._held += 1
 
     def moving_map(self, u: int, v: int) -> LinearMap:
         """A stabilizer element sending u to v (both outside the span)."""
         return fixing_linear_map(self.fixed, u, v, self.dim)
-
-    def moving_result(self, u: int, v: int
-                      ) -> tuple[DichotomyResult, _ImageTable]:
-        """The not-invariant result moving u to v and its witness's image
-        table, built on first use and shared by every set moved through
-        the same pair."""
-        key = (u, v)
-        hit = self._moves.get(key)
-        if hit is None:
-            pi = self.moving_map(u, v)
-            hit = (DichotomyResult("not-invariant", pi, key), _ImageTable(pi))
-            self._moves[key] = hit
-        return hit
 
 
 @dataclass(frozen=True)
@@ -107,32 +180,38 @@ def check_dichotomy(subset: Iterable[int], fixed: Iterable[int], dim: int,
     """Invariant sets split cleanly: inside the span, or containing its
     whole complement.  Non-invariant sets get a verified moving map.
 
-    The subset is classified as a 2^dim-bit mask, and the moving map is
-    re-checked on every set through its witness's image table."""
+    The subset is converted once to its 2^dim-bit mask and classified by
+    `check_dichotomy_mask`."""
     if orbits is None:
         orbits = stabilizer_orbits(fixed, dim)
-    vectors = tuple(subset)
-    size = 1 << dim
-    mask = 0
-    for x in vectors:
-        if not 0 <= x < size:
-            raise ValueError(f"vector {x} out of range for dim {dim}")
-        mask |= 1 << x
+    bit = orbits.bits.__getitem__
+    if isinstance(subset, (set, frozenset)):
+        mask = sum(map(bit, subset))
+    else:  # members may repeat
+        mask = reduce(or_, map(bit, subset), 0)
+    return check_dichotomy_mask(mask, orbits)
+
+
+def check_dichotomy_mask(mask: int, orbits: OrbitPartition
+                         ) -> DichotomyResult:
+    """`check_dichotomy` for the subset whose members are the set bits of
+    `mask` (bit v for the vector v).  The moving map is re-checked on
+    every set: its image is one witness-table lookup per nonzero byte."""
+    if mask < 0 or mask >> (1 << orbits.dim):
+        raise ValueError(f"mask out of range for dim {orbits.dim}: "
+                         f"need 0 <= mask < 2**{1 << orbits.dim}")
     complement = orbits.complement_mask
     inter = mask & complement
     if not inter:
         return _SUBSET_OF_SPAN
     if inter == complement:
         return _COMPLEMENT_SUBSET_OF_SPAN
-    outside = complement & ~mask
+    outside = complement ^ inter
     # lowest set bits: the least moved member and the least free target
     u = (inter & -inter).bit_length() - 1
     v = (outside & -outside).bit_length() - 1
-    result, images = orbits.moving_result(u, v)
-    image = 0
-    for x in vectors:
-        image |= 1 << images[x]
-    if image == mask:
+    result, images = orbits.moves[u, v]
+    if images.image(mask) == mask:
         raise IntermediateAssertFailed("moving map failed to move the set")
     return result
 

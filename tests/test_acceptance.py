@@ -215,31 +215,33 @@ def test_07_equivalence_relations_classify():
 def test_08_orbit_union_dichotomy_exhaustive():
     t0 = time.perf_counter()
     dim, size = 4, 16
-    all_sets = [frozenset(v for v in range(size) if mask >> v & 1)
-                for mask in range(1 << size)]
+    full = (1 << size) - 1
     fixed_sets = [frozenset()] + [frozenset(c) for k in (1, 2)
                                   for c in combinations(range(size), k)]
     assert len(fixed_sets) == 137
     unions = moved = 0
     for fixed in fixed_sets:
         orbits = permlab.stabilizer_orbits(fixed, dim)
-        for b in all_sets:
-            result = permlab.check_dichotomy(b, fixed, dim, orbits=orbits)
+        # every set is a mask, bit v for the vector v
+        span_mask = sum(1 << w for w in orbits.fixed_span)
+        complement = sum(1 << w for w in orbits.complement)
+        for b in range(1 << size):
+            result = permlab.check_dichotomy_mask(b, orbits)
             # a union of orbits meets the complement in nothing or all of it
-            inter = b & orbits.complement
-            if not inter or inter == orbits.complement:
+            inter = b & complement
+            if not inter or inter == complement:
                 unions += 1
                 assert result.invariant
-                assert (b <= orbits.fixed_span
-                        or frozenset(range(size)) - b <= orbits.fixed_span)
+                assert not b & ~span_mask or not (full ^ b) & ~span_mask
             else:
                 moved += 1
-                # the moving map is verified inside check_dichotomy;
+                # the moving map is verified inside check_dichotomy_mask;
                 # re-check the returned witness on the moved pair
                 assert result.classification == "not-invariant"
                 u, v = result.moved
-                assert u in b and v not in b
+                assert b >> u & 1 and not b >> v & 1
                 assert result.witness.apply(u) == v
+    assert (unions, moved) == (3_608, 8_974_824)
     elapsed = time.perf_counter() - t0
     _ok(8, f"137 stabilizers x 65536 sets: {unions} orbit-unions all "
            f"classified, {moved} non-unions all flagged with verified "

@@ -152,12 +152,75 @@ def _seeded_sets(rng, dim, fixed_span, count):
     (9, ()), (9, (5,)), (9, (17, 300)), (9, (1, 2, 4)),
 ])
 def test_check_dichotomy_matches_oracle_seeded(dim, fixed):
-    # at d=9 the witness image tables hold images past 255
+    # at d=9 a mask spans 64 bytes of a witness image table
     rng = random.Random(dim * 1000 + sum(fixed))
     fixed = frozenset(fixed)
     orbits = permlab.stabilizer_orbits(fixed, dim)
     for b in _seeded_sets(rng, dim, orbits.fixed_span, 40):
         assert_matches_oracle(b, fixed, dim, orbits)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_byte_table_image_matches_witness(dim):
+    # at d <= 2 a mask is shorter than one byte; at d = 1 no set moves, so
+    # a table is also built for a random invertible map
+    rng = random.Random(dim)
+    size = 1 << dim
+    orbits = permlab.stabilizer_orbits(rng.sample(range(size), dim // 3),
+                                       dim)
+    masks = [rng.getrandbits(size) & rng.getrandbits(size)
+             for _ in range(30)] + [0, (1 << size) - 1]
+    for mask in masks:
+        permlab.check_dichotomy_mask(mask, orbits)
+    pi = gf2core.random_invertible(dim, rng)
+    tables = [(result.witness, images)
+              for result, images in orbits.moves.values()]
+    tables.append((pi, permlab._ByteImages(orbits, pi)))
+    if dim > 1:
+        assert orbits.moves
+    for witness, images in tables:
+        for mask in masks:
+            b = [x for x in range(size) if mask >> x & 1]
+            assert images.image(mask) == sum(1 << witness.apply(x)
+                                             for x in b)
+
+
+@pytest.mark.parametrize("dim,fixed", [(2, ()), (4, (3,)), (7, (1, 6))])
+def test_mask_entry_returns_the_set_entry_results(dim, fixed):
+    rng = random.Random(dim)
+    size = 1 << dim
+    orbits = permlab.stabilizer_orbits(fixed, dim)
+    masks = [rng.getrandbits(size) for _ in range(40)]
+    for mask in masks + [0, (1 << size) - 1]:
+        b = frozenset(x for x in range(size) if mask >> x & 1)
+        assert (permlab.check_dichotomy_mask(mask, orbits)
+                is permlab.check_dichotomy(b, fixed, dim, orbits=orbits))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+def test_check_dichotomy_mask_rejects_out_of_range(dim):
+    orbits = permlab.stabilizer_orbits(frozenset(), dim)
+    for bad in (-1, 1 << (1 << dim)):
+        with pytest.raises(ValueError,
+                           match=f"mask out of range for dim {dim}"):
+            permlab.check_dichotomy_mask(bad, orbits)
+    full = (1 << (1 << dim)) - 1
+    assert permlab.check_dichotomy_mask(full, orbits).invariant
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_complement_mask_matches_complement(dim):
+    # fixed sets of every rank, moved off the standard basis, with and
+    # without a dependent vector
+    rng = random.Random(dim)
+    for rank in range(dim + 1):
+        pi = gf2core.random_invertible(dim, rng)
+        basis = [pi.apply(1 << i) for i in range(rank)]
+        for fixed in (basis, basis + [basis[0] ^ basis[-1]] if basis else []):
+            orbits = permlab.stabilizer_orbits(fixed, dim)
+            assert len(orbits.fixed_span) == 1 << rank
+            assert orbits.complement_mask == sum(1 << v
+                                                 for v in orbits.complement)
 
 
 @pytest.mark.parametrize("bad", [8, -1, 1 << 20])
@@ -168,6 +231,70 @@ def test_check_dichotomy_rejects_out_of_range(bad):
         with pytest.raises(ValueError) as info:
             permlab.check_dichotomy([2, bad, 5], {1}, 3, orbits=given)
         assert str(info.value) == message
+
+
+def test_check_dichotomy_ors_repeated_members():
+    # a sum of the members' bits would read [2, 2] as the vector 3
+    orbits = permlab.stabilizer_orbits({1}, 3)
+    for given, same in (([2, 2], {2}), (iter([5, 2, 5, 5]), {2, 5}),
+                        ([7, 0, 7], {0, 7})):
+        assert (permlab.check_dichotomy(given, {1}, 3, orbits=orbits)
+                is permlab.check_dichotomy(same, {1}, 3, orbits=orbits))
+    with pytest.raises(ValueError, match="^vector 8 out of range for dim 3$"):
+        permlab.check_dichotomy([2, 2, 8, 5], {1}, 3, orbits=orbits)
+
+
+def _table_entries(orbits):
+    return len(orbits.bits) + sum(len(images)
+                                  for _, images in orbits.moves.values())
+
+
+def _watch_admissions(monkeypatch):
+    """Check at every new table entry that the count is exact and within
+    MAX_TABLE_BITS; the returned list counts the entries admitted."""
+    admitted = []
+    admit = permlab.OrbitPartition._admit
+
+    def watched(self):
+        admit(self)
+        admitted.append(1)
+        # the entry is counted before it is stored
+        assert self._held == _table_entries(self) + 1
+        assert self._held << self.dim <= permlab.MAX_TABLE_BITS
+
+    monkeypatch.setattr(permlab.OrbitPartition, "_admit", watched)
+    return admitted
+
+
+def test_full_tables_are_emptied(monkeypatch):
+    rng = random.Random(8)
+    fixed = frozenset({1, 6})
+    sets = list(_seeded_sets(rng, 5, span(fixed, 5).members, 20))
+    uncapped = permlab.stabilizer_orbits(fixed, 5)
+    expected = [permlab.check_dichotomy(b, fixed, 5, orbits=uncapped)
+                for b in sets]
+    monkeypatch.setattr(permlab, "MAX_TABLE_BITS", 10 << 5)
+    admitted = _watch_admissions(monkeypatch)
+    capped = permlab.stabilizer_orbits(fixed, 5)
+    got = [permlab.check_dichotomy(b, fixed, 5, orbits=capped) for b in sets]
+    assert [(r.classification, r.moved, r.witness) for r in got] \
+        == [(r.classification, r.moved, r.witness) for r in expected]
+    assert len(admitted) > 10 and 0 < _table_entries(capped) <= 10
+
+
+def test_tables_stay_within_the_cap_at_dim_16(monkeypatch):
+    admitted = _watch_admissions(monkeypatch)
+    rng = random.Random(16)
+    b = frozenset(rng.sample(range(1 << 16), 4096))
+    fixed = frozenset({1, 6})
+    orbits = permlab.stabilizer_orbits(fixed, 16)
+    result = permlab.check_dichotomy(b, fixed, 16, orbits=orbits)
+    assert (result.classification, result.moved) \
+        == brute_dichotomy(b, fixed, 16)
+    # the set's 4,096 bits alone pass the 256 entries the cap allows
+    assert permlab.MAX_TABLE_BITS >> 16 == 256
+    assert len(admitted) > 4096
+    assert 0 < _table_entries(orbits) <= 256
 
 
 def test_check_dichotomy_shares_results_per_witness_pair():
