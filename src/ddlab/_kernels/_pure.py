@@ -5,6 +5,8 @@ Reference implementations of the hot inner loops; the compiled extension
 (coordinate i = bit i), subsets of GF(2)^d are plain collections of ints.
 """
 
+from bisect import bisect_right
+
 
 def rref_basis(vectors):
     """Reduced row-echelon basis of the span, as an ascending tuple.
@@ -38,17 +40,17 @@ def span_members(vectors):
     return tuple(members)
 
 
-def _grow_subspaces(mset, nonzero, span, last, visit):
+def _grow_subspaces(mset, nonzero, span, last, leaders, visit):
     visit(span)
-    for v in nonzero:
-        if v <= last or v in span:
+    for v in nonzero[bisect_right(nonzero, last):]:
+        # canonical generator: v is the least element of its coset exactly
+        # when it has none of the span's echelon leading bits
+        if v & leaders:
             continue
-        coset = [v ^ w for w in span]
-        # canonical generator: v must be the least element of its coset
-        if min(coset) != v:
-            continue
-        if all(c in mset for c in coset):
-            _grow_subspaces(mset, nonzero, span | set(coset), v, visit)
+        coset = {v ^ w for w in span}
+        if coset <= mset:
+            _grow_subspaces(mset, nonzero, span | coset, v,
+                            leaders | 1 << (v.bit_length() - 1), visit)
 
 
 def union_of_max_subspaces(members):
@@ -69,5 +71,5 @@ def union_of_max_subspaces(members):
         elif len(span) == state["card"]:
             state["union"] |= span
 
-    _grow_subspaces(mset, nonzero, {0}, 0, visit)
+    _grow_subspaces(mset, nonzero, {0}, 0, 0, visit)
     return state["card"], tuple(sorted(state["union"]))

@@ -234,12 +234,17 @@ def _cmd_synth(args):
 def _cmd_orbits(args):
     fixed = _parse_vectors(args.fixed or "[]", args.dim, "--fixed")
     orbits = permlab.stabilizer_orbits(fixed, args.dim)
+    complement = permlab.mask_points(orbits.complement_mask)
+    blocks = [[w] for w in orbits.fixed_span]
+    if complement:
+        blocks.append(complement)
     record = {"check": "orbits", "dim": args.dim,
               "fixed": bits_list(fixed, args.dim),
               "span": bits_list(orbits.fixed_span, args.dim),
-              "blocks": [bits_list(b, args.dim) for b in orbits.blocks],
+              "blocks": [bits_list(b, args.dim)
+                         for b in sorted(blocks, key=min)],
               # one moving map per consecutive pair of the complement
-              "witnesses": max(len(orbits.complement) - 1, 0)}
+              "witnesses": max(len(complement) - 1, 0)}
     yield record, True
 
 

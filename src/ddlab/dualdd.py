@@ -174,8 +174,9 @@ def _spot_check_same_size(op: ClosureOperator,
 
 
 # The largest general ground, checked before any closure work.  At d=7 on a
-# 2-core x86-64 machine: `verify --max-t 2` 4.0-4.6 CPU-s at 69 MB,
-# `collisions --count 200` 3.1-4.0 at 336 MB, `equivariance` 20-25 at 363 MB.
+# 2-core x86-64 machine: `verify --max-t 2` 0.8-1.0 CPU-s at 55-65 MB,
+# `equivariance` (100 trials) 0.3 at 21-25 MB, and `collisions --count 3000`,
+# whose closed-set search fills the closure memo, 2.8 at 337 MB.
 GENERAL_MAX_GROUND = 128
 
 
@@ -183,16 +184,29 @@ class GeneralSurjection:
     """The pregeometry surjection instance: a non-degeneracy witness E,
     the anchor D = E minus its two largest points, and cl(D).  Same
     interface as `LinearSurjection`, with the ground labels encoded as
-    dim-bit vectors."""
+    dim-bit vectors.
+
+    The operator must be linear or affine and cl(D) must be {0}, as for
+    every `build` result (witness {1, 2} and D empty, or witness
+    {0, 1, 2} and D = {0}).  The closed sets over D are then exactly the
+    linear subspaces, so the surjection's closed-set search is the
+    union-of-max-subspaces kernel."""
 
     skip = GroundExhausted
 
     def __init__(self, op: ClosureOperator, witness: frozenset[int],
                  anchor: frozenset[int]):
+        if op.kind not in ("linear", "affine"):
+            raise ValueError(f"the general construction needs a linear or "
+                             f"affine operator, not {op.kind!r}")
+        self.anchor_closure = op.cl(anchor)
+        if self.anchor_closure != {0}:
+            raise ValueError(f"the general construction needs an anchor "
+                             f"whose closure is {{0}}, got "
+                             f"{sorted(self.anchor_closure)}")
         self.op = op
         self.witness = witness
         self.anchor = anchor
-        self.anchor_closure = op.cl(anchor)
         self.dim = max(op.ground).bit_length()
         self.points = sorted(op.ground)
         self.params = {"construction": "general", "geometry": op.kind,
@@ -238,45 +252,27 @@ class GeneralSurjection:
 
     def sample_map(self, rng: random.Random) -> Callable[[int], int]:
         """A closure-preserving ground permutation fixing the anchor
-        pointwise: random invertible maps, each followed for the affine
-        geometry by the translation that returns the least anchor point,
-        drawn until one fixes the whole anchor."""
-        kind = self.op.kind
-        if kind not in ("linear", "affine"):
-            raise ValueError("sampling needs a linear or affine instance")
-        anchor = sorted(self.anchor)
-        while True:
-            m = random_invertible(self.dim, rng)
-            shift = 0
-            if kind == "affine" and anchor:
-                shift = anchor[0] ^ m.apply(anchor[0])
-            if all(m.apply(x) ^ shift == x for x in anchor):
-                return lambda v: m.apply(v) ^ shift
+        pointwise: one `random_invertible` map, which fixes cl(anchor) =
+        {0} and so the whole anchor."""
+        return random_invertible(self.dim, rng)
 
     def __repr__(self):
         return (f"GeneralSurjection(kind={self.op.kind!r}, witness="
                 f"{sorted(self.witness)}, anchor={sorted(self.anchor)})")
 
 
-def _qualifying_max(inst: GeneralSurjection, s: frozenset[int]
-                    ) -> list[frozenset[int]]:
-    """The largest closed sets W over the anchor with W - cl(anchor)
-    inside s, by sorted points; never empty (cl(anchor) qualifies)."""
-    family = tuple(inst.op.closed_sets_upto(
-        len(inst.op.ground), inst.anchor, s | inst.anchor_closure))
-    return [w for w in family if len(w) == len(family[-1])]
-
-
 def surject_general(inst: GeneralSurjection, subset: Iterable[int]
                     ) -> frozenset[int]:
     """The generalized surjection: strip the union of maximal qualifying
-    closed sets when the input avoids cl(anchor); identity otherwise."""
+    closed sets when the input avoids cl(anchor); identity otherwise.
+    Those sets are the largest subspaces inside s u {0}."""
     s = frozenset(subset)
     if not s <= inst.op.ground:
         raise ValueError("subset not contained in the ground set")
     if s & inst.anchor_closure:
         return s
-    return s - frozenset().union(*_qualifying_max(inst, s))
+    _, union = _kernels.union_of_max_subspaces(sorted(s | {0}))
+    return s.difference(union)
 
 
 @dataclass(frozen=True)
@@ -324,7 +320,9 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
         raise IntermediateAssertFailed(
             "cl(anchor u target) meets the constructed closure outside "
             "cl(anchor)")
-    unique_max_ok = _qualifying_max(inst, source) == [closure_u]
+    # two distinct largest subspaces would have a union larger than either
+    card, union = _kernels.union_of_max_subspaces(sorted(source | {0}))
+    unique_max_ok = card == len(union) and closure_u == frozenset(union)
     if not unique_max_ok:
         raise IntermediateAssertFailed(
             "the maximal qualifying closed set is not unique")

@@ -22,7 +22,7 @@ SPAN_BUDGET = 1 << 20
 DEFAULT_SUBSPACE_BUDGET = 100_000
 # The most bit strings kept per dimension for serialization; a full table is
 # emptied, as pregeometry.MAX_MEMO's memo is.  `orbits --dim 20` serializes
-# 2^20 vectors and peaks at 284 MB with the cap, 320 MB without it.
+# 2^20 vectors and peaks at 210 MB with the cap, 240 MB without it.
 MAX_BIT_STRINGS = 1 << 16
 
 

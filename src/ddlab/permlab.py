@@ -106,8 +106,9 @@ class _Moves(dict):
 
 class OrbitPartition:
     """Orbits of the pointwise stabilizer of span(fixed) in GL(d, 2):
-    each span vector is a singleton, everything else is one block.  A
-    moving-map witness is built only when `moving_map` is asked for it.
+    each span vector is a singleton, everything else is one block, the
+    set bits of `complement_mask`.  A moving-map witness is built only
+    when `moving_map` is asked for it.
 
     `bits` (x -> 1 << x) and `moves` (each moved pair's result and
     witness image table) are filled on first use; the entries of `bits`
@@ -121,11 +122,6 @@ class OrbitPartition:
         self.dim = dim
         self.fixed = frozenset(check_vectors(fixed, dim))
         self.fixed_span = span(self.fixed, dim).members
-        self.complement = frozenset(range(1 << dim)) - self.fixed_span
-        blocks = [frozenset([v]) for v in sorted(self.fixed_span)]
-        if self.complement:
-            blocks.append(self.complement)
-        self.blocks = tuple(sorted(blocks, key=min))
         # bit v of a 2^dim-bit mask stands for the vector v
         marks = bytearray(((1 << dim) + 7) >> 3)
         for w in self.fixed_span:
@@ -163,6 +159,12 @@ class DichotomyResult:
     @property
     def invariant(self) -> bool:
         return self.classification != "not-invariant"
+
+
+def mask_points(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending: the vectors of the set it
+    stands for."""
+    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def stabilizer_orbits(fixed: Iterable[int], dim: int) -> OrbitPartition:

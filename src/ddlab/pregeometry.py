@@ -31,10 +31,12 @@ MAX_GROUND = 1 << 14
 # family of the tests, golden cases and benchmark (1,023).  `axioms --geometry
 # identity --ground 128 --bound 0` stops here in 5.6 CPU-s at 233 MB.
 MAX_CLOSED_SETS = 1 << 14
-# The most closures an operator memoizes; a full memo is emptied.  32x the
-# largest memo of the tests and benchmark (about 8,200).  100 `equivariance`
-# trials at d=7 then peak at 363 MB in 21 CPU-s (1,026 MB in 14 unbounded);
-# `collisions --count 3000` at 414 MB (a MemoryError at 2 GB unbounded).
+# The most closures an operator memoizes; a full memo is emptied.  About 29x
+# the largest memo of the tests and benchmark (9,086 entries, the affine d=5
+# closed-set searches of the general surjection's reference test).  The
+# general collision pool's search fills it: `collisions --count 3000` at d=7
+# peaks at 337 MB in 2.8 CPU-s (429 MB unbounded), and the largest pool the
+# closed-set budget allows at 336 MB (571 MB unbounded).
 MAX_MEMO = 1 << 18
 
 
@@ -57,10 +59,10 @@ class ClosureOperator:
 
     def cl(self, subset: Iterable[int]) -> frozenset[int]:
         key = frozenset(subset)
-        if not key <= self.ground:
-            raise ValueError("subset not contained in the ground set")
         hit = self._cache.get(key)
-        if hit is None:
+        if hit is None:  # every key in the memo lies in the ground
+            if not key <= self.ground:
+                raise ValueError("subset not contained in the ground set")
             if len(self._cache) == MAX_MEMO:
                 self._cache.clear()
             hit = self._cl_func(key)
@@ -97,16 +99,18 @@ class ClosureOperator:
                 for x in inside - current:
                     bigger = self.cl(current | {x})
                     grown = len(bigger)
-                    if not size < grown <= max_size or not bigger <= inside:
+                    # most extensions repeat a set already found: ask the
+                    # bucket before the subset test
+                    if (not size < grown <= max_size
+                            or bigger in buckets.get(grown, ())
+                            or not bigger <= inside):
                         continue
-                    bucket = buckets.setdefault(grown, set())
-                    if bigger not in bucket:
-                        if found == MAX_CLOSED_SETS:
-                            raise BudgetExceeded(
-                                f"more than {MAX_CLOSED_SETS} closed sets "
-                                f"of at most {max_size} points")
-                        found += 1
-                        bucket.add(bigger)
+                    if found == MAX_CLOSED_SETS:
+                        raise BudgetExceeded(
+                            f"more than {MAX_CLOSED_SETS} closed sets "
+                            f"of at most {max_size} points")
+                    found += 1
+                    buckets.setdefault(grown, set()).add(bigger)
 
     def __repr__(self):
         return f"ClosureOperator(kind={self.kind!r}, size={self.size})"

@@ -224,7 +224,7 @@ def test_08_orbit_union_dichotomy_exhaustive():
         orbits = permlab.stabilizer_orbits(fixed, dim)
         # every set is a mask, bit v for the vector v
         span_mask = sum(1 << w for w in orbits.fixed_span)
-        complement = sum(1 << w for w in orbits.complement)
+        complement = full ^ span_mask
         for b in range(1 << size):
             result = permlab.check_dichotomy_mask(b, orbits)
             # a union of orbits meets the complement in nothing or all of it

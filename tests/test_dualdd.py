@@ -1,11 +1,13 @@
 """The subset surjections, their preimages, and collision witnesses."""
 
+import random
 from itertools import combinations, islice
 
 import pytest
 
-from ddlab import dualdd, gf2core
+from ddlab import _kernels, dualdd, gf2core
 from ddlab import pregeometry as pg
+from ddlab._kernels import _pure
 from ddlab.errors import (
     DegenerateGeometry,
     DimensionExhausted,
@@ -95,6 +97,11 @@ def test_surject_general_cases():
     for w in inst.op.closed_sets_upto(16, inst.anchor):
         assert dualdd.surject_general(inst, w - inst.anchor_closure) \
             == frozenset()
+    # GF(2)^7 holds 29,212 subspaces, past the budget of a generic
+    # closed-set search
+    for maker in (pg.linear_operator, pg.affine_operator):
+        whole = dualdd.GeneralSurjection.build(maker(7))
+        assert dualdd.surject_general(whole, range(1, 128)) == frozenset()
 
 
 def test_surject_general_specializes_to_linear():
@@ -111,6 +118,78 @@ def test_surject_general_specializes_to_linear():
             union = frozenset().union(
                 *(w for w in inside if len(w) == top))
             assert dualdd.surject_general(inst, s) == s - union
+
+
+try:
+    _compiled, _ = _kernels._load_compiled()
+except _kernels._BuildUnavailable:
+    _compiled = None
+UNION_KERNELS = [_pure] + ([_compiled] if _compiled else [])
+
+
+def zero_free_sets(dim):
+    """Every subset of the nonzero vectors at dim <= 3, else 2,000 seeded
+    ones."""
+    size = (1 << dim) - 1
+    if dim <= 3:
+        masks = range(1 << size)
+    else:
+        rng = random.Random(dim)
+        masks = [rng.getrandbits(size) for _ in range(2000)]
+    return [frozenset(v for v in range(1, size + 1) if mask >> (v - 1) & 1)
+            for mask in masks]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_surject_general_matches_the_closed_set_search(dim, monkeypatch):
+    # the definition, from the generic search: the largest closed sets
+    # over the anchor inside s u cl(anchor), by size, union and count
+    instances = [dualdd.GeneralSurjection.build(maker(dim))
+                 for maker in (pg.linear_operator, pg.affine_operator)]
+    cases = []
+    for s in zero_free_sets(dim):
+        want = []
+        for inst in instances:
+            family = tuple(inst.op.closed_sets_upto(
+                len(inst.op.ground), inst.anchor, s | {0}))
+            top = [w for w in family if len(w) == len(family[-1])]
+            want.append((len(top[0]), frozenset().union(*top), len(top)))
+        cases.append((s, want))
+    answers = []
+    for kernel in UNION_KERNELS:
+        def union_of_max_subspaces(members, kernel=kernel):
+            answers.append(kernel.union_of_max_subspaces(members))
+            return answers[-1]
+
+        # the one kernel call each surjection makes, seen as it is made
+        monkeypatch.setattr(dualdd._kernels, "union_of_max_subspaces",
+                            union_of_max_subspaces)
+        for s, want in cases:
+            linear = dualdd.surject_linear(s | {0}, dim)
+            for inst, (size, union, count) in zip(instances, want):
+                assert dualdd.surject_general(inst, s) == s - union == linear
+                card, got = answers[-1]
+                assert (card, got) == (size, tuple(sorted(union)))
+                # the preimage's uniqueness test
+                assert (card == len(got)) == (count == 1)
+
+
+def test_general_instance_needs_linear_or_affine_and_zero_closure():
+    ident = pg.identity_operator(4)
+    with pytest.raises(ValueError, match="linear or affine operator"):
+        dualdd.GeneralSurjection(ident, frozenset({1, 2}), frozenset())
+    aff = pg.affine_operator(3)
+    for anchor in (frozenset(), frozenset({1}), frozenset({0, 1})):
+        with pytest.raises(ValueError, match="anchor whose closure is"):
+            dualdd.GeneralSurjection(aff, anchor | {5, 6}, anchor)
+    lin = pg.linear_operator(3)
+    with pytest.raises(ValueError, match="anchor whose closure is"):
+        dualdd.GeneralSurjection(lin, frozenset({1, 2, 4}), frozenset({1}))
+    # every build result passes
+    for maker in (pg.linear_operator, pg.affine_operator):
+        for dim in range(2, 8):
+            inst = dualdd.GeneralSurjection.build(maker(dim))
+            assert inst.anchor_closure == {0}
 
 
 def test_preimage_general_linear_and_affine():

@@ -16,9 +16,11 @@ from ddlab import _kernels, gf2core
 from ddlab._kernels import _pure
 from ddlab.errors import DimensionExhausted
 
+# the compiled module is built here even when DDLAB_PURE=1 picks the pure
+# backend for the package; only a build that cannot run skips its tests
 try:
-    from ddlab._kernels import _gf2ext
-except ImportError:
+    _gf2ext, _ = _kernels._load_compiled()
+except _kernels._BuildUnavailable:
     _gf2ext = None
 
 BACKENDS = [_pure] + ([_gf2ext] if _gf2ext else [])

@@ -14,8 +14,18 @@ from ddlab.gf2core import LinearMap, span
 def is_orbit_union(orbits, subset):
     """A set is a union of orbits when it meets the complement of the
     span in nothing or in all of it."""
-    inter = subset & orbits.complement
-    return not inter or inter == orbits.complement
+    complement = frozenset(range(1 << orbits.dim)) - orbits.fixed_span
+    inter = subset & complement
+    return not inter or inter == complement
+
+
+def blocks_of(orbits):
+    """The orbits as `OrbitPartition` states them: each span vector
+    alone, and the complement mask's points as one block."""
+    blocks = [frozenset([w]) for w in orbits.fixed_span]
+    if orbits.complement_mask:
+        blocks.append(frozenset(permlab.mask_points(orbits.complement_mask)))
+    return sorted(blocks, key=min)
 
 
 def brute_orbits(fixed, dim):
@@ -47,21 +57,22 @@ def test_orbits_match_full_group_oracle(dim):
     for size in range(3):
         for combo in combinations(range(1 << dim), size):
             got = permlab.stabilizer_orbits(frozenset(combo), dim)
-            assert list(got.blocks) == brute_orbits(frozenset(combo), dim)
+            assert blocks_of(got) == brute_orbits(frozenset(combo), dim)
 
 
 def test_orbit_examples():
     o = permlab.stabilizer_orbits(frozenset(), 2)
-    assert o.blocks == (frozenset({0}), frozenset({1, 2, 3}))
+    assert blocks_of(o) == [frozenset({0}), frozenset({1, 2, 3})]
     o = permlab.stabilizer_orbits({1}, 2)
-    assert o.blocks == (frozenset({0}), frozenset({1}), frozenset({2, 3}))
+    assert blocks_of(o) == [frozenset({0}), frozenset({1}), frozenset({2, 3})]
     o = permlab.stabilizer_orbits({1, 2}, 2)
-    assert all(len(b) == 1 for b in o.blocks) and len(o.blocks) == 4
+    assert o.complement_mask == 0
+    assert all(len(b) == 1 for b in blocks_of(o)) and len(blocks_of(o)) == 4
 
 
 def test_orbit_witnesses_verified():
     o = permlab.stabilizer_orbits({1}, 4)
-    ordered = sorted(o.complement)
+    ordered = permlab.mask_points(o.complement_mask)
     for u, v in zip(ordered, ordered[1:]):
         pi = o.moving_map(u, v)
         assert pi.apply(u) == v
@@ -219,8 +230,10 @@ def test_complement_mask_matches_complement(dim):
         for fixed in (basis, basis + [basis[0] ^ basis[-1]] if basis else []):
             orbits = permlab.stabilizer_orbits(fixed, dim)
             assert len(orbits.fixed_span) == 1 << rank
-            assert orbits.complement_mask == sum(1 << v
-                                                 for v in orbits.complement)
+            complement = [v for v in range(1 << dim)
+                          if v not in orbits.fixed_span]
+            assert orbits.complement_mask == sum(1 << v for v in complement)
+            assert permlab.mask_points(orbits.complement_mask) == complement
 
 
 @pytest.mark.parametrize("bad", [8, -1, 1 << 20])
