@@ -87,7 +87,7 @@ def preimage_linear_trace(target: Iterable[int], dim: int) -> LinearPreimage:
 
 class LinearSurjection:
     """The linear surjection on subsets of GF(2)^dim as a construction
-    object; `GeneralSurjection` has the same interface.
+    object; `GeneralSurjection` has the same interface and the same maps.
 
     `points` are the points a verification sweep draws targets from, and
     `skip` is the error that marks a target the finite model cannot reach
@@ -174,9 +174,10 @@ def _spot_check_same_size(op: ClosureOperator,
 
 
 # The largest general ground, checked before any closure work.  At d=7 on a
-# 2-core x86-64 machine: `verify --max-t 2` 0.8-1.0 CPU-s at 55-65 MB,
-# `equivariance` (100 trials) 0.3 at 21-25 MB, and `collisions --count 3000`,
-# whose closed-set search fills the closure memo, 2.8 at 337 MB.
+# 2-core x86-64 machine, whole process: `verify --max-t 2` 0.5-0.7 CPU-s at
+# 25-29 MB, `equivariance` (100 trials) 0.2-0.3 at 21-25 MB, and
+# `collisions --count 3000`, whose closed-set search fills the closure memo,
+# 2.8-3.3 at 337 MB.
 GENERAL_MAX_GROUND = 128
 
 
@@ -189,8 +190,8 @@ class GeneralSurjection:
     The operator must be linear or affine and cl(D) must be {0}, as for
     every `build` result (witness {1, 2} and D empty, or witness
     {0, 1, 2} and D = {0}).  The closed sets over D are then exactly the
-    linear subspaces, so the surjection's closed-set search is the
-    union-of-max-subspaces kernel."""
+    linear subspaces, and the construction is the linear one with the
+    point 0 toggled; only `build` and `collision_pool` call `op.cl`."""
 
     skip = GroundExhausted
 
@@ -250,11 +251,10 @@ class GeneralSurjection:
         # without cl(anchor)
         return (w - self.anchor_closure for w in islice(family, 1, None))
 
-    def sample_map(self, rng: random.Random) -> Callable[[int], int]:
-        """A closure-preserving ground permutation fixing the anchor
-        pointwise: one `random_invertible` map, which fixes cl(anchor) =
-        {0} and so the whole anchor."""
-        return random_invertible(self.dim, rng)
+    # the closure-preserving maps fixing the anchor pointwise: GL(dim, 2),
+    # which fixes cl(anchor) = {0} and so the whole anchor
+    sample_map = LinearSurjection.sample_map
+    all_maps = LinearSurjection.all_maps
 
     def __repr__(self):
         return (f"GeneralSurjection(kind={self.op.kind!r}, witness="
@@ -265,14 +265,12 @@ def surject_general(inst: GeneralSurjection, subset: Iterable[int]
                     ) -> frozenset[int]:
     """The generalized surjection: strip the union of maximal qualifying
     closed sets when the input avoids cl(anchor); identity otherwise.
-    Those sets are the largest subspaces inside s u {0}."""
+    Those sets are the largest subspaces inside s u {0}, so this is the
+    linear surjection of s with 0 toggled."""
     s = frozenset(subset)
     if not s <= inst.op.ground:
         raise ValueError("subset not contained in the ground set")
-    if s & inst.anchor_closure:
-        return s
-    _, union = _kernels.union_of_max_subspaces(sorted(s | {0}))
-    return s.difference(union)
+    return surject_linear(s ^ inst.anchor_closure, inst.dim)
 
 
 @dataclass(frozen=True)
@@ -291,35 +289,34 @@ class GeneralPreimage:
 def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
                            ) -> GeneralPreimage:
     """Build S with surject_general(S) == target, checking the
-    intermediate identity and the uniqueness of the maximal witness."""
-    op = inst.op
+    intermediate identity and the uniqueness of the maximal witness.  The
+    picks and closure are the linear construction's, and S its source
+    less 0: each pick is the least point outside cl(anchor u T u picks) =
+    span(T u picks), and cl(anchor u picks) = span(picks)."""
     t = frozenset(target)
-    if not t <= op.ground:
+    if not t <= inst.op.ground:
         raise ValueError("target not contained in the ground set")
     if t & inst.anchor_closure:
         image = surject_general(inst, t)
         if image != t:
             raise IntermediateAssertFailed("identity branch failed")
         return GeneralPreimage(t, t, image, (), frozenset(), True, True)
-    picked: list[int] = []
-    base = inst.anchor | t
-    for _ in range(len(t) + 1):
-        reachable = op.cl(base | frozenset(picked))
-        candidate = next((x for x in inst.points if x not in reachable), None)
-        if candidate is None:
-            raise GroundExhausted(
-                f"no point independent over the anchor, target, and "
-                f"{len(picked)} picks")
-        picked.append(candidate)
-    if not is_independent(op, picked, over=base):
-        raise IntermediateAssertFailed("picked points are not independent")
-    closure_u = op.cl(inst.anchor | frozenset(picked))
-    source = t | (closure_u - inst.anchor_closure)
-    intersection_ok = (op.cl(base) & closure_u == inst.anchor_closure)
+    rank = _kernels.gf2_rank(t)
+    try:
+        linear = preimage_linear_trace(t, inst.dim)
+    except DimensionExhausted:
+        raise GroundExhausted(
+            f"no point independent over the anchor, target, and "
+            f"{inst.dim - rank} picks") from None
+    closure_u = frozenset(linear.spanned)
+    # one rank equation: the picks are independent over cl(anchor u T) =
+    # span(T), which meets cl(anchor u picks) = span(picks) in {0} only
+    intersection_ok = (_kernels.gf2_rank(linear.source)
+                       == rank + len(linear.picked))
     if not intersection_ok:
         raise IntermediateAssertFailed(
-            "cl(anchor u target) meets the constructed closure outside "
-            "cl(anchor)")
+            "picked points are not independent over the anchor and target")
+    source = linear.source - inst.anchor_closure
     # two distinct largest subspaces would have a union larger than either
     card, union = _kernels.union_of_max_subspaces(sorted(source | {0}))
     unique_max_ok = card == len(union) and closure_u == frozenset(union)
@@ -329,7 +326,7 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
     image = surject_general(inst, source)
     if image != t:
         raise IntermediateAssertFailed("preimage verification failed")
-    return GeneralPreimage(t, source, image, tuple(picked), closure_u,
+    return GeneralPreimage(t, source, image, linear.picked, closure_u,
                            intersection_ok, unique_max_ok)
 
 

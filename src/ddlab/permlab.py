@@ -262,10 +262,11 @@ def check_equivariance(construction, trials: int = 0, seed: int = 0,
     Random mode (`exhaustive_max_size` None): trial i draws, from a
     generator seeded by (seed, i), first pi with
     `construction.sample_map`, then S.  Exhaustive mode: every pi of
-    `construction.all_maps()`, which only the linear construction has,
-    against every S of at most `exhaustive_max_size` points.  Each failure
-    is {"trial": index of the (pi, S) case, "set": sorted S, "map": the
-    images of the points 0 .. 2^dim - 1}; the first 20 are kept.
+    `construction.all_maps()` (GL(dim, 2) for both constructions, so
+    dim <= 4) against every S of at most `exhaustive_max_size` points.
+    Each failure is {"trial": index of the (pi, S) case, "set": sorted S,
+    "map": the images of the points 0 .. 2^dim - 1}; the first 20 are
+    kept.
     """
     dim = construction.dim
     validate_equivariance(dim, trials, exhaustive_max_size)
@@ -273,10 +274,6 @@ def check_equivariance(construction, trials: int = 0, seed: int = 0,
         cases = _sampled_cases(construction, trials, seed)
         params = {**construction.equivariance_params, "seed": seed}
     else:
-        if not hasattr(construction, "all_maps"):
-            raise ValueError(
-                f"exhaustive equivariance needs the linear construction, "
-                f"not {construction.params['construction']}")
         maps = construction.all_maps()
         cases = ((pi, frozenset(combo))
                  for size in range(exhaustive_max_size + 1)

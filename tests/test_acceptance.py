@@ -257,12 +257,17 @@ def test_09_equivariance():
     assert report.ok and report.trials == 1000
 
     rng = random.Random(SEED)
+    # renamings of all 5 points, from their own generator so the relations
+    # and the formulas criterion 11 reads stay as they were
+    renamings = random.Random(SEED + 9)
     points = list(product(range(5), repeat=2))
     produced = []
+    moved = tied = 0
     for _ in range(200):
         rel = df.Relation(5, 2, frozenset(
             t for t in points if rng.random() < 0.5))
-        support = df.minimal_support(rel).members
+        minimal = df.minimal_support(rel)
+        support = minimal.members
         outside = sorted(set(range(5)) - support)
         image = outside[:]
         rng.shuffle(image)
@@ -273,10 +278,51 @@ def test_09_equivariance():
         second = df.synthesize_formula(rel.apply_perm(perm), support)
         assert first == second
         produced += [first, second]
+
+        pi = list(range(5))
+        renamings.shuffle(pi)
+        renamed = rel.apply_perm(pi)
+        moved += renamed != rel
+        assert sorted(map(sorted, df.minimal_support(renamed).candidates)) \
+            == sorted(sorted(pi[x] for x in c) for c in minimal.candidates)
+        want, got = _recursive_or_stage(rel), _recursive_or_stage(renamed)
+        if isinstance(want, str):
+            tied += 1
+            assert got == want
+        else:
+            assert got == frozenset(pi[x] for x in want)
+        assert df.synthesize_formula(renamed, {pi[x] for x in support}) \
+            == _rename_constants(first, pi)
+    assert moved == 199  # seeded: one renaming fixes its relation
     _STATE["c9_formulas"] = produced
-    _ok(9, "linear equivariance exhaustive at d=2 (90 cases) and over "
-           "1000 seeded trials at d=3; synthesis equivariant on 200 "
-           "seeded relations, zero failures")
+    _ok(9, f"linear equivariance exhaustive at d=2 (90 cases) and over "
+           f"1000 seeded trials at d=3; synthesis equivariant on 200 "
+           f"seeded relations, and minimal supports, recursive supports "
+           f"({tied} tied at the same stage) and synthesis commute with a "
+           f"seeded renaming of all 5 points, which moves {moved} of the "
+           f"relations; zero failures")
+
+
+def _recursive_or_stage(rel):
+    """The recursive support, or the stage of its majority tie."""
+    try:
+        return df.recursive_support(rel)
+    except MajorityTie as tie:
+        return tie.stage
+
+
+def _rename_constants(formula, pi):
+    """The formula with each constant c renamed pi[c], its parameters,
+    literals and disjuncts sorted again."""
+    body = sorted(
+        tuple(sorted(((kind, i, pi[other], positive) if kind == "vc"
+                      else (kind, i, other, positive)
+                      for kind, i, other, positive in disjunct),
+                     key=fm._literal_key))
+        for disjunct in formula.body)
+    return fm.Formula(formula.arity, tuple(sorted(pi[c] for c in
+                                                  formula.params)),
+                      tuple(body))
 
 
 def test_10_signature_class_gadgets():

@@ -172,6 +172,12 @@ GOLDEN = (
     ("verify --construction general --geometry affine --dim 3 --max-t 3 "
      "--format table", 0,
      "e84a9a6f0f55bbfd80bb6e5cc19b77f74c4a8cd8dcc3605cd46300d54031050d"),
+    # the largest general sweeps, recorded while the general construction
+    # still picked its points through the operator's closure
+    ("verify --construction general --geometry affine --dim 7 --max-t 2", 0,
+     "b0c0c23a222346f13419332d4c22013ee51ad0a9ee65b3b210414add21ddeb21"),
+    ("verify --construction general --geometry linear --dim 7 --max-t 2", 0,
+     "2abefca815d1ffd81be063d8443ba4ccd2ad4860d3c771bf7482af0afa7b439e"),
     ('preimage --construction linear --dim 3 --target ["100"]', 0,
      "b026dd3f9415c779a04f458c17bc9d7c77bf85dc5f5f5eb8214acec8e1928a0f"),
     ('preimage --construction linear --dim 2 --target ["00","11"]', 0,
@@ -460,9 +466,11 @@ def test_config_errors_exit_2():
     ["equivariance", "--construction", "general", "--geometry", "affine",
      "--dim", "3", "--trials", "-2"],
     ["equivariance", "--dim", "2", "--exhaustive-max-size", "-1"],
+    # exhaustive mode lists all of GL(d, 2), so d <= 4 for both
+    # constructions
     ["equivariance", "--dim", "5", "--exhaustive-max-size", "1"],
     ["equivariance", "--construction", "general", "--geometry", "linear",
-     "--dim", "3", "--exhaustive-max-size", "2"],
+     "--dim", "5", "--exhaustive-max-size", "1"],
     ["orbits", "--dim", "21"],
     ["dichotomy", "--dim", "21", "--set", "[]"],
     ["surjection", "collisions", "--dim", "2", "--count", "0"],

@@ -213,6 +213,67 @@ def test_preimage_general_ground_exhausted():
         dualdd.preimage_general_trace(inst, {1, 2, 4})
 
 
+def closure_construction(inst, target):
+    """The pregeometry construction read off the operator's closure:
+    (picked, source, closure_u), or the GroundExhausted text."""
+    op = inst.op
+    if target & inst.anchor_closure:
+        return (), target, frozenset()
+    picked = []
+    for _ in range(len(target) + 1):
+        reachable = op.cl(inst.anchor | target | frozenset(picked))
+        outside = [x for x in sorted(op.ground) if x not in reachable]
+        if not outside:
+            return (f"no point independent over the anchor, target, and "
+                    f"{len(picked)} picks")
+        picked.append(outside[0])
+    closure_u = op.cl(inst.anchor | frozenset(picked))
+    return (tuple(picked), target | (closure_u - inst.anchor_closure),
+            closure_u)
+
+
+def general_targets(dim):
+    """Every subset of the ground at dim <= 3, else 2,000 seeded ones of
+    at most dim points."""
+    points = 1 << dim
+    if dim <= 3:
+        return [frozenset(v for v in range(points) if mask >> v & 1)
+                for mask in range(1 << points)]
+    rng = random.Random(100 + dim)
+    return [frozenset(rng.sample(range(points), rng.randint(0, dim)))
+            for _ in range(2000)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_preimage_general_matches_the_closure_construction(dim,
+                                                           monkeypatch):
+    instances = [dualdd.GeneralSurjection.build(maker(dim))
+                 for maker in (pg.linear_operator, pg.affine_operator)]
+    targets = general_targets(dim)
+    wants = [[closure_construction(inst, t) for t in targets]
+             for inst in instances]
+
+    def no_closure(self, subset):
+        raise AssertionError("closure called after build")
+
+    monkeypatch.setattr(pg.ClosureOperator, "cl", no_closure)
+    kinds = set()
+    for inst, want in zip(instances, wants):
+        for t, expected in zip(targets, want):
+            dualdd.surject_general(inst, t)
+            if isinstance(expected, str):
+                with pytest.raises(GroundExhausted) as info:
+                    dualdd.preimage_general_trace(inst, t)
+                assert str(info.value) == expected
+                kinds.add("inadmissible")
+                continue
+            trace = dualdd.preimage_general_trace(inst, t)
+            assert (trace.picked, trace.source, trace.closure_u) == expected
+            assert trace.image == t
+            kinds.add("identity" if 0 in t else "picked")
+    assert kinds == {"inadmissible", "identity", "picked"}
+
+
 def test_collision_pairs_linear():
     assert dualdd.collision_pairs(dualdd.LinearSurjection(2), 1) \
         == [(frozenset({0}), frozenset({0, 1}))]

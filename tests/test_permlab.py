@@ -374,6 +374,16 @@ def test_equivariance_general_measured():
     assert report.failures == 0
 
 
+@pytest.mark.parametrize("maker", [pg.linear_operator, pg.affine_operator])
+def test_equivariance_general_exhaustive(maker):
+    # every map of GL(3, 2) against every subset of the 8 points
+    inst = dualdd.GeneralSurjection.build(maker(3))
+    report = permlab.check_equivariance(inst, exhaustive_max_size=8)
+    assert report.trials == 168 * 256 and report.failures == 0
+    assert report.params == {"kind": inst.op.kind, "dim": 3,
+                             "exhaustive_max_size": 8}
+
+
 def test_stabilizer_orbits_builds_no_moving_map(monkeypatch):
     calls = []
 
@@ -408,7 +418,9 @@ def test_equivariance_rejects_bad_requests():
             (linear, {"trials": -5}),
             (general, {"trials": -2}),
             (linear, {"exhaustive_max_size": -1}),
-            (general, {"exhaustive_max_size": 2}),
+            (general, {"exhaustive_max_size": -1}),
+            (dualdd.GeneralSurjection.build(pg.affine_operator(5)),
+             {"exhaustive_max_size": 1}),
             (dualdd.LinearSurjection(11), {"trials": 1})):
         with pytest.raises(ValueError):
             permlab.check_equivariance(construction, **kwargs)
@@ -425,7 +437,10 @@ def _non_equivariant(monkeypatch, cls):
     (lambda: dualdd.LinearSurjection(2), {"exhaustive_max_size": 2}),
     (lambda: dualdd.GeneralSurjection.build(pg.affine_operator(3)),
      {"trials": 60, "seed": 2}),
-], ids=["linear-random", "linear-exhaustive", "general-affine"])
+    (lambda: dualdd.GeneralSurjection.build(pg.linear_operator(2)),
+     {"exhaustive_max_size": 2}),
+], ids=["linear-random", "linear-exhaustive", "general-affine",
+        "general-exhaustive"])
 def test_equivariance_failure_entries(monkeypatch, make, kwargs):
     construction = make()
     _non_equivariant(monkeypatch, type(construction))
