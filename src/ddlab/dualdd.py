@@ -323,7 +323,9 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
     if not unique_max_ok:
         raise IntermediateAssertFailed(
             "the maximal qualifying closed set is not unique")
-    image = surject_general(inst, source)
+    # surject_general(source) is surject_linear(source ^ {0}), that is of
+    # linear.source, which the linear trace evaluated and checked against T
+    image = linear.image
     if image != t:
         raise IntermediateAssertFailed("preimage verification failed")
     return GeneralPreimage(t, source, image, linear.picked, closure_u,

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _kernels
 from .errors import BudgetExceeded, DimensionExhausted, IntermediateAssertFailed, PointInSpan
@@ -20,10 +20,33 @@ MAX_DIM = 24
 ENUM_MAX_DIM = 12
 SPAN_BUDGET = 1 << 20
 DEFAULT_SUBSPACE_BUDGET = 100_000
-# The most bit strings kept per dimension for serialization; a full table is
-# emptied, as pregeometry.MAX_MEMO's memo is.  `orbits --dim 20` serializes
-# 2^20 vectors and peaks at 210 MB with the cap, 240 MB without it.
+# The most bit strings kept per dimension for serialization, the cap of its
+# `Memo`.  `orbits --dim 20` serializes 2^20 vectors and peaks at 210 MB
+# with the cap, 240 MB without it.
 MAX_BIT_STRINGS = 1 << 16
+
+
+class Memo(dict):
+    """A lookup table filled on first lookup: a missing key's value is
+    `make(key)`, stored after emptying the memo if it already holds `cap`
+    entries.  A `make` that raises stores nothing and empties nothing.
+
+    `make` should hold no reference to the memo's owner, or the two form a
+    cycle that only the garbage collector frees."""
+
+    __slots__ = ("make", "cap")
+
+    def __init__(self, make: Callable, cap: int):
+        super().__init__()
+        self.make = make
+        self.cap = cap
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) >= self.cap:
+            self.clear()
+        self[key] = value
+        return value
 
 
 def check_dim(dim: int) -> None:
@@ -274,27 +297,17 @@ def fixing_linear_map(fixed: Iterable[int], u: int, v: int, dim: int) -> LinearM
     return pi
 
 
-class _BitStrings(dict):
-    """The bit strings of one dimension's vectors, each formatted on its
-    first lookup; a table of MAX_BIT_STRINGS entries is emptied first."""
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-        self.spec = f"0{dim}b"
-
-    def __missing__(self, v: int) -> str:
-        if not 0 <= v < (1 << self.dim):
-            raise ValueError(f"vector {v} out of range for dim {self.dim}")
-        if len(self) >= MAX_BIT_STRINGS:
-            self.clear()
-        text = self[v] = format(v, self.spec)[::-1]
-        return text
-
-
 @cache
-def _bit_table(dim: int) -> _BitStrings:
-    return _BitStrings(dim)
+def _bit_table(dim: int) -> Memo:
+    """v -> the bit string of v, for the vectors of GF(2)^dim."""
+    spec = f"0{dim}b"
+
+    def make(v: int) -> str:
+        if not 0 <= v < (1 << dim):
+            raise ValueError(f"vector {v} out of range for dim {dim}")
+        return format(v, spec)[::-1]
+
+    return Memo(make, MAX_BIT_STRINGS)
 
 
 def vector_to_bits(v: int, dim: int) -> str:

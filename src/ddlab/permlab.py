@@ -16,6 +16,7 @@ from .errors import IntermediateAssertFailed
 from .gf2core import (
     SPAN_BUDGET,
     LinearMap,
+    Memo,
     check_dim,
     check_vectors,
     fixing_linear_map,
@@ -25,70 +26,15 @@ from .gf2core import (
 EQUIVARIANCE_MAX_DIM = 10
 
 
-# The most mask bits an orbit partition's tables hold, counting each entry
-# as the 2^dim bits of a mask; an entry that would pass it first empties
-# every table of the partition, as pregeometry.MAX_MEMO's memo is.  That is
-# 2^20 entries at dim 4, more than criterion 8 fills, and 256 at dim 16.
+# The most mask bits an orbit partition's bit table holds, counting each
+# entry as the 2^dim bits of a mask: its `Memo` is capped at
+# MAX_TABLE_BITS >> dim entries, 2^20 at dim 4 and 256 at dim 16.
 MAX_TABLE_BITS = 1 << 24
 
 
-class _Bits(dict):
-    """x -> 1 << x for the vectors of one partition, range-checked and
-    stored on first lookup."""
-
-    __slots__ = ("owner",)
-
-    def __init__(self, owner: OrbitPartition):
-        super().__init__()
-        self.owner = owner
-
-    def __missing__(self, x: int) -> int:
-        dim = self.owner.dim
-        if not 0 <= x < 1 << dim:
-            raise ValueError(f"vector {x} out of range for dim {dim}")
-        bit = 1 << x
-        self.owner._admit()
-        self[x] = bit
-        return bit
-
-
-class _ByteImages(dict):
-    """A witness's image table: key (c << 8) | b, for a nonzero byte b of
-    chunk c of a mask (the points 8c .. 8c + 7), -> the mask of the images
-    of that byte's points.  An entry is built on first lookup from the
-    entries of its lowest point and of the rest of its byte."""
-
-    __slots__ = ("owner", "pi")
-
-    def __init__(self, owner: OrbitPartition, pi: LinearMap):
-        super().__init__()
-        self.owner = owner
-        self.pi = pi
-
-    def image(self, mask: int) -> int:
-        """The mask of the images of the points of `mask`."""
-        image = base = 0
-        for byte in mask.to_bytes(self.owner.mask_bytes, "little"):
-            if byte:
-                image |= self[base | byte]
-            base += 256
-        return image
-
-    def __missing__(self, key: int) -> int:
-        low = key & -key
-        if key & 0xFF == low:
-            image = 1 << self.pi.apply(key >> 8 << 3 | low.bit_length() - 1)
-        else:
-            image = self[key ^ low] | self[key & ~0xFF | low]
-        self.owner._admit()
-        self[key] = image
-        return image
-
-
 class _Moves(dict):
-    """(u, v) -> the not-invariant result moving u to v and its witness's
-    image table, built on first lookup and shared by every set moved
-    through the same pair."""
+    """(u, v) -> the not-invariant result moving u to v, built on first
+    lookup and shared by every set moved through the same pair."""
 
     __slots__ = ("owner",)
 
@@ -96,11 +42,15 @@ class _Moves(dict):
         super().__init__()
         self.owner = owner
 
-    def __missing__(self, key: tuple[int, int]
-                    ) -> tuple[DichotomyResult, _ByteImages]:
-        pi = self.owner.moving_map(*key)
-        hit = self[key] = (DichotomyResult("not-invariant", pi, key),
-                           _ByteImages(self.owner, pi))
+    def __missing__(self, key: tuple[int, int]) -> DichotomyResult:
+        u, v = key
+        pi = self.owner.moving_map(u, v)
+        # u is in the set and v is not, so pi(u) = v puts v in pi(S) but
+        # not in S: pi moves every set it is looked up for
+        if pi.apply(u) != v:
+            raise IntermediateAssertFailed(
+                "moving map failed to move the set")
+        hit = self[key] = DichotomyResult("not-invariant", pi, key)
         return hit
 
 
@@ -110,9 +60,9 @@ class OrbitPartition:
     set bits of `complement_mask`.  A moving-map witness is built only
     when `moving_map` is asked for it.
 
-    `bits` (x -> 1 << x) and `moves` (each moved pair's result and
-    witness image table) are filled on first use; the entries of `bits`
-    and of the image tables together stay within MAX_TABLE_BITS."""
+    `bits` (x -> 1 << x, a `Memo` of at most MAX_TABLE_BITS >> dim
+    entries) and `moves` (each moved pair's result, uncapped) are filled
+    on first use."""
 
     def __init__(self, dim: int, fixed: Iterable[int]):
         check_dim(dim)
@@ -128,20 +78,14 @@ class OrbitPartition:
             marks[w >> 3] |= 1 << (w & 7)
         self.complement_mask = (((1 << (1 << dim)) - 1)
                                 ^ int.from_bytes(marks, "little"))
-        self.mask_bytes = len(marks)
-        self.bits = _Bits(self)
-        self._held = 0  # entries in `bits` and every image table
-        self.moves = _Moves(self)
 
-    def _admit(self) -> None:
-        """Count one more table entry, emptying every table first when it
-        would take them past MAX_TABLE_BITS."""
-        if (self._held + 1) << self.dim > MAX_TABLE_BITS:
-            self.bits.clear()
-            for _, images in self.moves.values():
-                images.clear()
-            self._held = 0
-        self._held += 1
+        def bit(x: int) -> int:
+            if not 0 <= x < 1 << dim:
+                raise ValueError(f"vector {x} out of range for dim {dim}")
+            return 1 << x
+
+        self.bits = Memo(bit, MAX_TABLE_BITS >> dim)
+        self.moves = _Moves(self)
 
     def moving_map(self, u: int, v: int) -> LinearMap:
         """A stabilizer element sending u to v (both outside the span)."""
@@ -197,8 +141,9 @@ def check_dichotomy(subset: Iterable[int], fixed: Iterable[int], dim: int,
 def check_dichotomy_mask(mask: int, orbits: OrbitPartition
                          ) -> DichotomyResult:
     """`check_dichotomy` for the subset whose members are the set bits of
-    `mask` (bit v for the vector v).  The moving map is re-checked on
-    every set: its image is one witness-table lookup per nonzero byte."""
+    `mask` (bit v for the vector v).  A moved set's witness sends its
+    least moved member to the least point of the complement outside it,
+    which proves it moves the set; no image of the set is computed."""
     if mask < 0 or mask >> (1 << orbits.dim):
         raise ValueError(f"mask out of range for dim {orbits.dim}: "
                          f"need 0 <= mask < 2**{1 << orbits.dim}")
@@ -212,10 +157,7 @@ def check_dichotomy_mask(mask: int, orbits: OrbitPartition
     # lowest set bits: the least moved member and the least free target
     u = (inter & -inter).bit_length() - 1
     v = (outside & -outside).bit_length() - 1
-    result, images = orbits.moves[u, v]
-    if images.image(mask) == mask:
-        raise IntermediateAssertFailed("moving map failed to move the set")
-    return result
+    return orbits.moves[u, v]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .errors import (
     NoIndependentSet,
     SearchBudgetExceeded,
 )
+from .gf2core import Memo
 
 PERM_BUDGET = math.factorial(8)  # the most maps one search may face
 # The operator makers refuse larger grounds before building them.  The
@@ -31,7 +32,7 @@ MAX_GROUND = 1 << 14
 # family of the tests, golden cases and benchmark (1,023).  `axioms --geometry
 # identity --ground 128 --bound 0` stops here in 5.6 CPU-s at 233 MB.
 MAX_CLOSED_SETS = 1 << 14
-# The most closures an operator memoizes; a full memo is emptied.  About 29x
+# The most closures an operator memoizes, the cap of its `Memo`.  About 29x
 # the largest memo of the tests and benchmark (9,086 entries, the affine d=5
 # closed-set searches of the general surjection's reference test).  The
 # general collision pool's search fills it: `collisions --count 3000` at d=7
@@ -41,51 +42,46 @@ MAX_MEMO = 1 << 18
 
 
 class ClosureOperator:
-    """A total map cl: fin(ground) -> fin(ground), memo capped at MAX_MEMO.
+    """A total map cl: fin(ground) -> fin(ground), its values kept in a
+    `Memo` capped at MAX_MEMO.
 
     The axioms themselves are not assumed; the checkers below verify them.
     """
 
     def __init__(self, ground: Iterable[int], kind: str,
                  cl_func: Callable[[frozenset[int]], frozenset[int]]):
-        self.ground = frozenset(ground)
+        self.ground = ground = frozenset(ground)
         self.kind = kind
-        self._cl_func = cl_func
-        self._cache: dict[frozenset[int], frozenset[int]] = {}
+
+        def close(key: frozenset[int]) -> frozenset[int]:
+            # holds the ground and cl_func, never the operator itself
+            if not key <= ground:
+                raise ValueError("subset not contained in the ground set")
+            return cl_func(key)
+
+        self._cache = Memo(close, MAX_MEMO)
 
     @property
     def size(self) -> int:
         return len(self.ground)
 
     def cl(self, subset: Iterable[int]) -> frozenset[int]:
-        key = frozenset(subset)
-        hit = self._cache.get(key)
-        if hit is None:  # every key in the memo lies in the ground
-            if not key <= self.ground:
-                raise ValueError("subset not contained in the ground set")
-            if len(self._cache) == MAX_MEMO:
-                self._cache.clear()
-            hit = self._cl_func(key)
-            self._cache[key] = hit
-        return hit
+        return self._cache[frozenset(subset)]
 
     def closed_sets_upto(self, max_size: int,
-                         base: frozenset[int] = frozenset(),
-                         within: Iterable[int] | None = None
+                         base: frozenset[int] = frozenset()
                          ) -> Iterator[frozenset[int]]:
-        """Yield the closed sets of size <= max_size that contain `base`
-        and lie inside `within` (default: the ground), by (size, points).
+        """Yield the closed sets of size <= max_size that contain `base`,
+        by (size, points).
 
         Found sets wait in one bucket per size.  The smallest bucket is
         yielded sorted, and only then are its sets extended: the closure
-        of each one-point extension by a point of `within` is kept if it
-        is larger, at most max_size and inside `within`.  For a monotone,
-        extensive operator this reaches each such set, because the chain
-        to it stays inside it.  Raises BudgetExceeded past MAX_CLOSED_SETS
-        sets found."""
-        inside = self.ground if within is None else frozenset(within)
+        of each one-point extension is kept if it is larger and at most
+        max_size.  For a monotone, extensive operator this reaches each
+        such set, because the chain to it stays inside it.  Raises
+        BudgetExceeded past MAX_CLOSED_SETS sets found."""
         start = self.cl(base)
-        if len(start) > max_size or not start <= inside:
+        if len(start) > max_size:
             return
         buckets = {len(start): {start}}
         found = 1
@@ -96,14 +92,11 @@ class ClosureOperator:
             if size == max_size:
                 continue
             for current in level:
-                for x in inside - current:
+                for x in self.ground - current:
                     bigger = self.cl(current | {x})
                     grown = len(bigger)
-                    # most extensions repeat a set already found: ask the
-                    # bucket before the subset test
                     if (not size < grown <= max_size
-                            or bigger in buckets.get(grown, ())
-                            or not bigger <= inside):
+                            or bigger in buckets.get(grown, ())):
                         continue
                     if found == MAX_CLOSED_SETS:
                         raise BudgetExceeded(

@@ -281,26 +281,58 @@ def test_09_equivariance():
 
         pi = list(range(5))
         renamings.shuffle(pi)
-        renamed = rel.apply_perm(pi)
-        moved += renamed != rel
-        assert sorted(map(sorted, df.minimal_support(renamed).candidates)) \
-            == sorted(sorted(pi[x] for x in c) for c in minimal.candidates)
-        want, got = _recursive_or_stage(rel), _recursive_or_stage(renamed)
-        if isinstance(want, str):
-            tied += 1
-            assert got == want
-        else:
-            assert got == frozenset(pi[x] for x in want)
-        assert df.synthesize_formula(renamed, {pi[x] for x in support}) \
-            == _rename_constants(first, pi)
+        moved += rel.apply_perm(pi) != rel
+        tied += not _renaming_commutes(rel, pi, minimal, first)
     assert moved == 199  # seeded: one renaming fixes its relation
     _STATE["c9_formulas"] = produced
+
+    # unions of the realizable equality types of pairs over a seeded E,
+    # where the recursion can complete; from their own generator, so the
+    # relations above and the formulas criterion 11 reads stay as they were
+    unions = random.Random(SEED + 90)
+    completed = []
+    for size in range(3):
+        done = 0
+        for _ in range(200):
+            params = tuple(sorted(unions.sample(range(5), size)))
+            chosen = {t for t in fm.complete_types(2, params)
+                      if t.realizable(5) and unions.random() < 0.5}
+            rel = df.Relation(5, 2, frozenset(
+                t for t in points
+                if fm.EqualityType.of_point(t, params) in chosen))
+            minimal = df.minimal_support(rel)
+            pi = list(range(5))
+            unions.shuffle(pi)
+            done += _renaming_commutes(
+                rel, pi, minimal,
+                df.synthesize_formula(rel, minimal.members))
+        completed.append(done)
+    assert completed == [200, 200, 173]
     _ok(9, f"linear equivariance exhaustive at d=2 (90 cases) and over "
            f"1000 seeded trials at d=3; synthesis equivariant on 200 "
            f"seeded relations, and minimal supports, recursive supports "
            f"({tied} tied at the same stage) and synthesis commute with a "
            f"seeded renaming of all 5 points, which moves {moved} of the "
-           f"relations; zero failures")
+           f"relations; the same on 200 seeded unions of equality types "
+           f"over E for each |E| = 0, 1, 2, where the recursion completes "
+           f"on {', '.join(map(str, completed))} of them; zero failures")
+
+
+def _renaming_commutes(rel, pi, minimal, formula):
+    """Check that the minimal supports, the recursive support (or the
+    stage of its tie) and the synthesized `formula` of `rel` commute with
+    renaming the points by pi; return whether the recursion completed."""
+    renamed = rel.apply_perm(pi)
+    assert sorted(map(sorted, df.minimal_support(renamed).candidates)) \
+        == sorted(sorted(pi[x] for x in c) for c in minimal.candidates)
+    want, got = _recursive_or_stage(rel), _recursive_or_stage(renamed)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == frozenset(pi[x] for x in want)
+    assert df.synthesize_formula(renamed, {pi[x] for x in minimal.members}) \
+        == _rename_constants(formula, pi)
+    return not isinstance(want, str)
 
 
 def _recursive_or_stage(rel):

@@ -209,6 +209,26 @@ def test_bits_list_rejects_out_of_range_at_either_end():
             gf2core.bits_list(vectors, 3)
 
 
+def test_memo_is_emptied_at_its_cap_and_stores_no_failure():
+    made = []
+
+    def make(key):
+        if key < 0:
+            raise ValueError(f"negative key {key}")
+        made.append(key)
+        return key * key
+
+    memo = gf2core.Memo(make, 3)
+    assert [memo[k] for k in (1, 2, 3, 2)] == [1, 4, 9, 4]
+    assert made == [1, 2, 3] and dict(memo) == {1: 1, 2: 4, 3: 9}
+    with pytest.raises(ValueError, match="^negative key -1$"):
+        memo[-1]
+    assert dict(memo) == {1: 1, 2: 4, 3: 9}  # nothing stored or emptied
+    assert memo[4] == 16 and dict(memo) == {4: 16}
+    assert memo[1] == 1 and made == [1, 2, 3, 4, 1]
+    assert dict(memo) == {4: 16, 1: 1}
+
+
 def test_bit_strings_match_format():
     rng = random.Random(15)
     for _ in range(2000):

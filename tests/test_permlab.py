@@ -163,7 +163,7 @@ def _seeded_sets(rng, dim, fixed_span, count):
     (9, ()), (9, (5,)), (9, (17, 300)), (9, (1, 2, 4)),
 ])
 def test_check_dichotomy_matches_oracle_seeded(dim, fixed):
-    # at d=9 a mask spans 64 bytes of a witness image table
+    # at d=9 a mask has 512 bits
     rng = random.Random(dim * 1000 + sum(fixed))
     fixed = frozenset(fixed)
     orbits = permlab.stabilizer_orbits(fixed, dim)
@@ -172,28 +172,31 @@ def test_check_dichotomy_matches_oracle_seeded(dim, fixed):
 
 
 @pytest.mark.parametrize("dim", range(1, 11))
-def test_byte_table_image_matches_witness(dim):
-    # at d <= 2 a mask is shorter than one byte; at d = 1 no set moves, so
-    # a table is also built for a random invertible map
+def test_mask_witness_moves_the_whole_set(dim):
+    # `check_dichotomy_mask` computes no image; here each moved mask's
+    # full image under its witness is built and compared with the mask.
+    # At d = 1 the complement of the span is one point, so nothing moves
     rng = random.Random(dim)
     size = 1 << dim
     orbits = permlab.stabilizer_orbits(rng.sample(range(size), dim // 3),
                                        dim)
     masks = [rng.getrandbits(size) & rng.getrandbits(size)
              for _ in range(30)] + [0, (1 << size) - 1]
+    moved = 0
     for mask in masks:
-        permlab.check_dichotomy_mask(mask, orbits)
-    pi = gf2core.random_invertible(dim, rng)
-    tables = [(result.witness, images)
-              for result, images in orbits.moves.values()]
-    tables.append((pi, permlab._ByteImages(orbits, pi)))
-    if dim > 1:
-        assert orbits.moves
-    for witness, images in tables:
-        for mask in masks:
-            b = [x for x in range(size) if mask >> x & 1]
-            assert images.image(mask) == sum(1 << witness.apply(x)
-                                             for x in b)
+        result = permlab.check_dichotomy_mask(mask, orbits)
+        if result.invariant:
+            assert result.witness is None
+            continue
+        moved += 1
+        u, v = result.moved
+        assert mask >> u & 1 and not mask >> v & 1
+        assert result is orbits.moves[u, v]
+        pi = result.witness
+        image = sum(1 << pi.apply(x) for x in permlab.mask_points(mask))
+        assert image != mask and image >> v & 1
+        assert all(pi.apply(w) == w for w in orbits.fixed_span)
+    assert (moved > 0) == (dim > 1)
 
 
 @pytest.mark.parametrize("dim,fixed", [(2, ()), (4, (3,)), (7, (1, 6))])
@@ -257,26 +260,20 @@ def test_check_dichotomy_ors_repeated_members():
         permlab.check_dichotomy([2, 2, 8, 5], {1}, 3, orbits=orbits)
 
 
-def _table_entries(orbits):
-    return len(orbits.bits) + sum(len(images)
-                                  for _, images in orbits.moves.values())
+def _watch_bits(monkeypatch):
+    """Check at every new entry of any `Memo` that it holds at most its
+    cap; the returned list holds the memo of each entry stored."""
+    stored = []
+    missing = gf2core.Memo.__missing__
 
+    def watched(self, key):
+        value = missing(self, key)
+        stored.append(self)
+        assert len(self) <= self.cap
+        return value
 
-def _watch_admissions(monkeypatch):
-    """Check at every new table entry that the count is exact and within
-    MAX_TABLE_BITS; the returned list counts the entries admitted."""
-    admitted = []
-    admit = permlab.OrbitPartition._admit
-
-    def watched(self):
-        admit(self)
-        admitted.append(1)
-        # the entry is counted before it is stored
-        assert self._held == _table_entries(self) + 1
-        assert self._held << self.dim <= permlab.MAX_TABLE_BITS
-
-    monkeypatch.setattr(permlab.OrbitPartition, "_admit", watched)
-    return admitted
+    monkeypatch.setattr(gf2core.Memo, "__missing__", watched)
+    return stored
 
 
 def test_full_tables_are_emptied(monkeypatch):
@@ -287,16 +284,17 @@ def test_full_tables_are_emptied(monkeypatch):
     expected = [permlab.check_dichotomy(b, fixed, 5, orbits=uncapped)
                 for b in sets]
     monkeypatch.setattr(permlab, "MAX_TABLE_BITS", 10 << 5)
-    admitted = _watch_admissions(monkeypatch)
+    stored = _watch_bits(monkeypatch)
     capped = permlab.stabilizer_orbits(fixed, 5)
+    assert capped.bits.cap == 10
     got = [permlab.check_dichotomy(b, fixed, 5, orbits=capped) for b in sets]
     assert [(r.classification, r.moved, r.witness) for r in got] \
         == [(r.classification, r.moved, r.witness) for r in expected]
-    assert len(admitted) > 10 and 0 < _table_entries(capped) <= 10
+    assert sum(m is capped.bits for m in stored) > 10 and 0 < len(capped.bits) <= 10
 
 
 def test_tables_stay_within_the_cap_at_dim_16(monkeypatch):
-    admitted = _watch_admissions(monkeypatch)
+    stored = _watch_bits(monkeypatch)
     rng = random.Random(16)
     b = frozenset(rng.sample(range(1 << 16), 4096))
     fixed = frozenset({1, 6})
@@ -305,9 +303,9 @@ def test_tables_stay_within_the_cap_at_dim_16(monkeypatch):
     assert (result.classification, result.moved) \
         == brute_dichotomy(b, fixed, 16)
     # the set's 4,096 bits alone pass the 256 entries the cap allows
-    assert permlab.MAX_TABLE_BITS >> 16 == 256
-    assert len(admitted) > 4096
-    assert 0 < _table_entries(orbits) <= 256
+    assert orbits.bits.cap == permlab.MAX_TABLE_BITS >> 16 == 256
+    assert sum(m is orbits.bits for m in stored) == 4096
+    assert 0 < len(orbits.bits) <= 256
 
 
 def test_check_dichotomy_shares_results_per_witness_pair():
