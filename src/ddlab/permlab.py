@@ -6,6 +6,7 @@ surjections.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -34,17 +35,18 @@ MAX_TABLE_BITS = 1 << 24
 
 class _Moves(dict):
     """(u, v) -> the not-invariant result moving u to v, built on first
-    lookup and shared by every set moved through the same pair."""
+    lookup and shared by every set moved through the same pair.  It holds
+    its partition by a weak reference, so the two form no cycle."""
 
     __slots__ = ("owner",)
 
     def __init__(self, owner: OrbitPartition):
         super().__init__()
-        self.owner = owner
+        self.owner = weakref.ref(owner)
 
     def __missing__(self, key: tuple[int, int]) -> DichotomyResult:
         u, v = key
-        pi = self.owner.moving_map(u, v)
+        pi = self.owner().moving_map(u, v)
         # u is in the set and v is not, so pi(u) = v puts v in pi(S) but
         # not in S: pi moves every set it is looked up for
         if pi.apply(u) != v:

@@ -317,6 +317,16 @@ def _exists(image: dict[int, int], points: list[int],
     return False
 
 
+def _join(orbit: dict[int, int], moves: list[tuple[int, int]]) -> None:
+    """Merge the classes of x and y for each (x, y) in `moves`; `orbit`
+    maps each point to the mask of its class."""
+    for x, y in moves:
+        merged = orbit[x] | orbit[y]
+        if merged != orbit[x]:
+            for z in _points(merged):
+                orbit[z] = merged
+
+
 def check_local_homogeneity(op: ClosureOperator, max_closed: int,
                             max_extension: int) -> AxiomReport:
     """Bounded check of local homogeneity.
@@ -336,6 +346,17 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     U - T only, and skips the closed subsets inside T, which the search on
     T has tested.  A search facing more than PERM_BUDGET permutations
     raises SearchBudgetExceeded.
+
+    The maps of T that pass both tests form a group: they permute the
+    closed subsets of T, composing extensions to U extends the composed
+    map, and a finite set of permutations closed under composition is a
+    group.  So (S, a, b) passes exactly when b is in the orbit of a under
+    the maps that fix S pointwise.  For each S the points of T - S are
+    joined along the moves of every map found so far for T that fixes S,
+    and a pair is searched only while its points are apart; a found map
+    joins its moves too.  Each search tries the transposition (a b) first,
+    which fixes every later S that misses a and b.  Before the first map
+    is found no pair is skipped, so the budget errors are unchanged.
     """
     if not 0 <= max_closed <= max_extension <= op.size:
         raise ValueError(
@@ -414,18 +435,40 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
         ambient_labels = [labels[x] for x in points]
         inner = sorted((s for s in _submasks(t) if s in closed),
                        key=rank.__getitem__)
+        found: list[tuple[int, list]] = []  # (moved mask, its moves)
         for fixed in inner:
             fixed_points = _points(fixed)
-            for a, b in permutations(_points(t & ~fixed), 2):
+            free = _points(t & ~fixed)
+            orbit = {x: 1 << x for x in free}  # x -> the mask of its class
+            for moved, moves in found:
+                if not moved & fixed:
+                    _join(orbit, moves)
+            for a, b in permutations(free, 2):
                 checked += 1
+                if orbit[a] >> b & 1:
+                    continue  # a map the found ones generate sends a to b
                 instance = {"fixed": [labels[x] for x in fixed_points],
                             "ambient": ambient_labels,
                             "a": labels[a], "b": labels[b]}
-                others = _points(t & ~fixed & ~(1 << b))
-                options = [[b] if x == a else [x] if fixed >> x & 1
-                           else others for x in points]
-                if not _exists({}, points, options, due, closed,
-                               extends_everywhere):
+                others = [y for y in free if y != b]
+                options = []
+                for x in points:
+                    if x == a:
+                        options.append([b])
+                    elif fixed >> x & 1:
+                        options.append([x])
+                    else:  # the transposition (a b) first
+                        first = a if x == b else x
+                        options.append(
+                            [first, *(y for y in others if y != first)])
+                image: dict[int, int] = {}
+                if _exists(image, points, options, due, closed,
+                           extends_everywhere):
+                    moves = [(x, image[x].bit_length() - 1) for x in points
+                             if image[x] >> x != 1]
+                    found.append((sum(1 << x for x, _ in moves), moves))
+                    _join(orbit, moves)
+                else:
                     bad.append(instance)
     status = "BOUNDED-PASS" if not bad else "FAIL"
     return AxiomReport(

@@ -1,6 +1,8 @@
 """Orbit structure, the invariant-set dichotomy, and equivariance runs."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -325,6 +327,22 @@ def test_check_dichotomy_rejects_a_witness_that_does_not_move(monkeypatch):
                         lambda u, v: LinearMap.identity(4))
     with pytest.raises(IntermediateAssertFailed):
         permlab.check_dichotomy({0, 2}, {1}, 4, orbits=orbits)
+
+
+def test_used_partition_is_freed_without_gc():
+    # the moves table reaches its partition by a weak reference only
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        orbits = permlab.stabilizer_orbits({1}, 4)
+        result = permlab.check_dichotomy({0, 2}, {1}, 4, orbits=orbits)
+        assert result.moved == (2, 3) and orbits.moves[2, 3] is result
+        ref = weakref.ref(orbits)
+        del orbits
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_check_dichotomy_without_orbits_matches_given():

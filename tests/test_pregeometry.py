@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 import weakref
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -237,6 +237,11 @@ LH_CONFIGS = [
 # sha256 of the sorted-key JSON reports, one per line, as the checker
 # wrote them before it ran on bitmasks
 LH_SHA256 = "f6f76feaff53bc9f8e7313444bb6de6d2b96eae7805ca6683230487d35fed51d"
+# the same, for T of 8 points, where a transposition is often no
+# automorphism: GF(2)^3 inside GF(2)^4 and the affine 3-flats; recorded
+# before the checker joined the orbits of the maps it finds
+LH_SHA256_8 = \
+    "53ea82072c7a845bac89f86c5280508073867114bdc17d6d021d54169eb53c64"
 
 
 def test_local_homogeneity_reports_are_pinned():
@@ -247,6 +252,92 @@ def test_local_homogeneity_reports_are_pinned():
         makers[kind](param), t, u).to_json(), sort_keys=True)
         for kind, param, t, u in LH_CONFIGS]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LH_SHA256
+
+
+def test_local_homogeneity_reports_are_pinned_at_8_points():
+    lines = [json.dumps(pg.check_local_homogeneity(
+        make(4), 8, 8).to_json(), sort_keys=True)
+        for make in (pg.linear_operator, pg.affine_operator)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == LH_SHA256_8
+
+
+def brute_local_homogeneity(closed, max_closed, max_extension):
+    """Oracle: (status, checked, counterexamples) from the definition, over
+    the closed sets `closed` of an operator, with every permutation of T
+    and of U - T tried and every closed subset tested."""
+    order = sorted(closed, key=lambda c: (len(c), sorted(c)))
+
+    def preserves(perm, domain):
+        return all(frozenset(map(perm.__getitem__, w)) in closed
+                   for w in order if w <= domain)
+
+    def extends(g, t, u):
+        outside = sorted(u - t)
+        return any(preserves({**g, **dict(zip(outside, rest))}, u)
+                   for rest in permutations(outside))
+
+    checked, bad = 0, []
+    for t in order:
+        if len(t) > max_closed:
+            break
+        points = sorted(t)
+        supersets = [u for u in order if t < u and len(u) <= max_extension]
+        maps = [g for g in (dict(zip(points, p)) for p in permutations(points))
+                if preserves(g, t) and all(extends(g, t, u) for u in supersets)]
+        for s in (s for s in order if s <= t):
+            for a, b in permutations(sorted(t - s), 2):
+                checked += 1
+                if not any(g[a] == b and all(g[x] == x for x in s)
+                           for g in maps):
+                    bad.append({"fixed": sorted(s), "ambient": points,
+                                "a": a, "b": b})
+    return "FAIL" if bad else "BOUNDED-PASS", checked, bad[:50]
+
+
+def test_local_homogeneity_matches_the_definition():
+    rng = random.Random(20)
+    passed = failed = 0
+    for _ in range(300):
+        n = rng.randint(3, 5)
+        ground = frozenset(range(n))
+        closed = {ground}
+        p = rng.random() ** 0.5
+        for mask in range(1 << n):
+            if rng.random() < p:
+                closed.add(frozenset(x for x in ground if mask >> x & 1))
+        while True:  # close the family under intersection
+            more = {a & b for a in closed for b in closed} - closed
+            if not more:
+                break
+            closed |= more
+        op = family_operator(n, closed, "family")
+        max_closed = rng.randint(2, n)  # below 2, no pair to move
+        max_extension = rng.randint(max_closed, n)
+        r = pg.check_local_homogeneity(op, max_closed, max_extension)
+        want = brute_local_homogeneity(closed, max_closed, max_extension)
+        assert (r.status, r.checked, list(r.counterexamples)) == want
+        passed += r.status == "BOUNDED-PASS" and r.checked > 0
+        failed += r.status == "FAIL"
+    assert (passed, failed) == (148, 135)
+
+
+def test_local_homogeneity_search_counts(monkeypatch):
+    # affine d=4 at (4, 8): 960 of the 6,960 instances need a map search,
+    # and the maps those searches try need 4,200 extension searches
+    searches = {"instance": 0, "extension": 0}
+    exists = pg._exists
+
+    def counted(image, points, options, due, closed, leaf=None, i=0,
+                used=0):
+        if i == 0:
+            searches["extension" if leaf is None else "instance"] += 1
+        return exists(image, points, options, due, closed, leaf, i, used)
+
+    monkeypatch.setattr(pg, "_exists", counted)
+    r = pg.check_local_homogeneity(pg.affine_operator(4), 4, 8)
+    assert (r.status, r.checked) == ("BOUNDED-PASS", 6960)
+    assert searches == {"instance": 960, "extension": 4200}
 
 
 def test_local_homogeneity_budget(monkeypatch):
