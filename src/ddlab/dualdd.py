@@ -28,6 +28,7 @@ from .gf2core import (
     bits_list,
     check_dim,
     check_vectors,
+    enumerate_subspaces,
     extend_independent,
     random_invertible,
 )
@@ -118,10 +119,10 @@ class LinearSurjection:
                 "f_of_S": bits_list(trace.image, self.dim),
                 "cardinality_identity": trace.cardinality_identity}
 
-    def collision_pool(self) -> list[frozenset[int]]:
-        """Sets known to collide: the zero subspace and every line, all
-        mapping to the empty set."""
-        return [frozenset([0])] + [frozenset([0, v]) for v in self.points]
+    def collision_pool(self) -> Iterator[frozenset[int]]:
+        """Sets known to collide, all mapping to the empty set: the zero
+        subspace (v = 0), then the line {0, v} for each v ascending."""
+        return (frozenset([0, v]) for v in range(1 << self.dim))
 
     def sample_map(self, rng: random.Random) -> Callable[[int], int]:
         """A ground permutation for `permlab.check_equivariance`: one
@@ -173,11 +174,12 @@ def _spot_check_same_size(op: ClosureOperator,
             return
 
 
-# The largest general ground, checked before any closure work.  At d=7 on a
-# 2-core x86-64 machine, whole process: `verify --max-t 2` 0.5-0.7 CPU-s at
-# 25-29 MB, `equivariance` (100 trials) 0.2-0.3 at 21-25 MB, and
-# `collisions --count 3000`, whose closed-set search fills the closure memo,
-# 2.8-3.3 at 337 MB.
+# The largest general ground, checked before any closure work.  `build`
+# closes every pair of points (8,262 closures for affine d=7, 32,902 at
+# d=8), and GF(2)^8 has 417,199 subspaces, past the enumeration budget.  At
+# d=7 on a 2-core x86-64 machine, whole process: `verify --max-t 2` 0.5-0.7
+# CPU-s at 25-29 MB, `equivariance` (100 trials) 0.2-0.3 at 21-25 MB, and
+# `collisions` 0.4-0.6 at 33-36 MB (--count 3000), 1.3-2.1 at 49-52 (16000).
 GENERAL_MAX_GROUND = 128
 
 
@@ -191,7 +193,7 @@ class GeneralSurjection:
     every `build` result (witness {1, 2} and D empty, or witness
     {0, 1, 2} and D = {0}).  The closed sets over D are then exactly the
     linear subspaces, and the construction is the linear one with the
-    point 0 toggled; only `build` and `collision_pool` call `op.cl`."""
+    point 0 toggled; only `build` and `__init__` call `op.cl`."""
 
     skip = GroundExhausted
 
@@ -244,12 +246,10 @@ class GeneralSurjection:
 
     def collision_pool(self) -> Iterator[frozenset[int]]:
         """The nonempty sets W - cl(anchor), for W closed over the anchor,
-        by (size, sorted points): all map to empty.  One closed-set search,
-        read only as far as the caller reads."""
-        family = self.op.closed_sets_upto(len(self.op.ground), self.anchor)
-        # skip cl(anchor) itself; sets of one size sort alike with or
-        # without cl(anchor)
-        return (w - self.anchor_closure for w in islice(family, 1, None))
+        that is every subspace but {0}, read lazily in the enumeration's
+        order less 0, by (size, sorted points): all map to empty."""
+        subspaces = islice(enumerate_subspaces(self.dim), 1, None)
+        return (w.members - self.anchor_closure for w in subspaces)
 
     # the closure-preserving maps fixing the anchor pointwise: GL(dim, 2),
     # which fixes cl(anchor) = {0} and so the whole anchor

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
 from .errors import BudgetExceeded, DimensionExhausted, IntermediateAssertFailed, PointInSpan
@@ -192,11 +192,13 @@ def extend_independent(avoid: Iterable[int], count: int, dim: int) -> list[int]:
 
 
 def enumerate_subspaces(dim: int, max_card: int | None = None,
-                        budget: int = DEFAULT_SUBSPACE_BUDGET) -> list[Subspace]:
-    """All subspaces of GF(2)^dim with at most max_card members.
+                        budget: int = DEFAULT_SUBSPACE_BUDGET
+                        ) -> Iterator[Subspace]:
+    """The subspaces of GF(2)^dim with at most max_card members, lazily.
 
-    Sorted by (cardinality, member list). The expected count is computed
-    from Gaussian binomials first; BudgetExceeded fires before any work.
+    Yielded by (cardinality, member list).  The caps and the expected
+    count, from Gaussian binomials, are checked when this is called:
+    ValueError and BudgetExceeded fire before any work.
     """
     check_dim(dim)
     if max_card is None and dim > ENUM_MAX_DIM:
@@ -205,30 +207,29 @@ def enumerate_subspaces(dim: int, max_card: int | None = None,
     max_rank = dim
     if max_card is not None:
         if max_card < 1:
-            return []
+            return iter(())
         max_rank = min(dim, max_card.bit_length() - 1)
     expected = sum(gaussian_binomial(dim, r) for r in range(max_rank + 1))
     if expected > budget:
         raise BudgetExceeded(
             f"{expected} subspaces exceed the budget of {budget}")
+    return _subspaces_by_rank(dim, max_rank)
 
-    spaces: list[tuple[int, ...]] = []
 
-    def grow(members: frozenset[int], last: int, rank: int) -> None:
-        spaces.append(tuple(sorted(members)))
-        if rank == max_rank:
-            return
-        for v in range(last + 1, 1 << dim):
-            if v in members:
-                continue
-            if any(v ^ w < v for w in members):
-                continue  # v must be the least element of its coset
-            grow(members | {v ^ w for w in members}, v, rank + 1)
-
-    grow(frozenset([0]), 0, 0)
-    spaces.sort(key=lambda ms: (len(ms), ms))
-    return [Subspace(dim, _kernels.rref_basis(ms), frozenset(ms))
-            for ms in spaces]
+def _subspaces_by_rank(dim: int, max_rank: int) -> Iterator[Subspace]:
+    """Each rank sorted by member list, built once the rank below is read:
+    rank r + 1 extends each rank-r subspace by every v above its last
+    extension that is the least element of its coset."""
+    level = [(frozenset([0]), 0)]  # (members, last extension)
+    for rank in range(max_rank + 1):
+        for members in sorted(sorted(ms) for ms, _ in level):
+            yield Subspace(dim, _kernels.rref_basis(members),
+                           frozenset(members))
+        if rank < max_rank:
+            level = [(members | {v ^ w for w in members}, v)
+                     for members, last in level
+                     for v in range(last + 1, 1 << dim)
+                     if all(v ^ w >= v for w in members)]
 
 
 def _echelon_with_combos(vectors: Sequence[int]) -> dict[int, tuple[int, int]]:

@@ -28,16 +28,16 @@ PERM_BUDGET = math.factorial(8)  # the most maps one search may face
 # pairs outside cl(empty)): at 2^14 points that run took 18.5 CPU-s and
 # 50 MB on a 2-core x86-64 machine, and each doubling quadruples the time.
 MAX_GROUND = 1 << 14
-# The most closed sets a `closed_sets_upto` call finds: 16x the largest
-# family of the tests, golden cases and benchmark (1,023).  `axioms --geometry
-# identity --ground 128 --bound 0` stops here in 5.6 CPU-s at 233 MB.
+# The most closed sets a `closed_sets_upto` call finds, which bounds the
+# local-homogeneity check, its one caller: 16x the largest family of the
+# tests, golden cases and benchmark (1,023).  `axioms --geometry identity
+# --ground 128 --bound 0` stops here in 5.6 CPU-s at 233 MB.
 MAX_CLOSED_SETS = 1 << 14
-# The most closures an operator memoizes, the cap of its `Memo`.  About 29x
-# the largest memo of the tests and benchmark (9,086 entries, the affine d=5
-# closed-set searches of the general surjection's reference test).  The
-# general collision pool's search fills it: `collisions --count 3000` at d=7
-# peaks at 337 MB in 2.8 CPU-s (429 MB unbounded), and the largest pool the
-# closed-set budget allows at 336 MB (571 MB unbounded).
+# The most closures an operator memoizes, the cap of its `Memo`.  On a
+# 2-core x86-64 machine, the local-homogeneity check of the affine d=5
+# geometry at (4, 8) peaks at 40,209 entries, and the default `axioms
+# --geometry linear --dim 7` fills and empties the memo 3 times: it peaks
+# at 353 MB in 33-41 CPU-s (758 MB unbounded).
 MAX_MEMO = 1 << 18
 
 
@@ -68,11 +68,8 @@ class ClosureOperator:
     def cl(self, subset: Iterable[int]) -> frozenset[int]:
         return self._cache[frozenset(subset)]
 
-    def closed_sets_upto(self, max_size: int,
-                         base: frozenset[int] = frozenset()
-                         ) -> Iterator[frozenset[int]]:
-        """Yield the closed sets of size <= max_size that contain `base`,
-        by (size, points).
+    def closed_sets_upto(self, max_size: int) -> Iterator[frozenset[int]]:
+        """Yield the closed sets of size <= max_size, by (size, points).
 
         Found sets wait in one bucket per size.  The smallest bucket is
         yielded sorted, and only then are its sets extended: the closure
@@ -80,7 +77,7 @@ class ClosureOperator:
         max_size.  For a monotone, extensive operator this reaches each
         such set, because the chain to it stays inside it.  Raises
         BudgetExceeded past MAX_CLOSED_SETS sets found."""
-        start = self.cl(base)
+        start = self.cl(frozenset())
         if len(start) > max_size:
             return
         buckets = {len(start): {start}}

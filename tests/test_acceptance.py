@@ -35,7 +35,7 @@ def _round_trip(formula):
 
 def test_01_every_subspace_collapses_to_empty():
     t0 = time.perf_counter()
-    subs = enumerate_subspaces(4)
+    subs = list(enumerate_subspaces(4))
     assert len(subs) == 67
     assert len(subs) == sum(gaussian_binomial(4, k) for k in range(5))
     assert [gaussian_binomial(4, k) for k in range(5)] == [1, 15, 35, 15, 1]

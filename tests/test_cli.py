@@ -84,6 +84,23 @@ def test_surjection_collisions():
     assert recs[0]["S1"] == ["00"] and recs[0]["S2"] == ["00", "10"]
 
 
+@pytest.mark.parametrize("argv,pairs", [
+    ("--construction linear --dim 3", 56),  # 8 sets: {0} and 7 lines
+    # 15 sets: 7 lines, 7 planes and the whole space, less 0
+    ("--construction general --geometry linear --dim 3", 210),
+    ("--construction general --geometry affine --dim 3", 210),
+])
+def test_collisions_stop_at_the_end_of_the_pool(argv, pairs, capsys):
+    base = ["surjection", "collisions", *argv.split(), "--count"]
+    code, out = run_cli([*base, str(pairs)])
+    assert code == 0 and len(records(out)) == pairs
+    assert capsys.readouterr().err == ""
+    assert run_cli([*base, str(pairs + 1)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"ddlab: BudgetExceeded: only {pairs} collision pairs available, "
+        f"{pairs + 1} requested\n")
+
+
 def test_support_and_synth(tmp_path):
     path = tmp_path / "rel.json"
     path.write_text(json.dumps({"n": 7, "k": 1, "tuples": [[3]]}))
@@ -207,6 +224,15 @@ GOLDEN = (
     ("collisions --construction general --geometry affine --dim 3 "
      "--count 4 --format table", 0,
      "404355b01b6da6f83da976a4ead5e34e280fa62cf287d14063cf692fa0a2197c"),
+    # the pools read past the planes into rank 3, so the order within each
+    # rank counts; the
+    # records carry no geometry, so both geometries print the same bytes
+    ("collisions --construction general --geometry linear --dim 7 "
+     "--count 3000", 0,
+     "73586df5f7603910e47e2c8ac7ce00a9d2304538e69d494bbf88d69eea0da913"),
+    ("collisions --construction general --geometry affine --dim 7 "
+     "--count 3000", 0,
+     "73586df5f7603910e47e2c8ac7ce00a9d2304538e69d494bbf88d69eea0da913"),
 )
 
 
@@ -571,27 +597,48 @@ def test_bad_value_leaves_out_file_alone(tmp_path):
     assert path.read_bytes() == b"earlier run\n"
 
 
-def test_sweep_memory_does_not_grow_with_output(tmp_path):
-    # 8,129 records at t <= 2 against 128 at t <= 1: streamed, both sweeps
-    # peak at about the same RSS.  Each runs as the child of a small
-    # interpreter, because a child's ru_maxrss starts from the RSS of the
-    # process that forked it, and this one's is larger than a sweep's.
-    # ru_maxrss is in KiB on Linux.
+def peak_rss_kb(argv):
+    """The exit code and peak RSS in KiB (as on Linux) of one CLI run.
+    It runs as the child of a small interpreter, because a child's
+    ru_maxrss starts from the RSS of the process that forked it, and this
+    one's is larger than a run's."""
     launcher = ("import resource, subprocess, sys; "
                 "code = subprocess.call([sys.executable, '-m', 'ddlab.cli',"
                 " *sys.argv[1:]]); print(code, resource.getrusage("
                 "resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    return code, peak_kb
+
+
+def test_sweep_memory_does_not_grow_with_output(tmp_path):
+    # 8,129 records at t <= 2 against 128 at t <= 1: streamed, both sweeps
+    # peak at about the same RSS
     peaks = []
     for max_t in ("2", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, "surjection", "verify",
-             "--dim", "7", "--max-t", max_t,
-             "--out", str(tmp_path / f"t{max_t}.jsonl")],
-            capture_output=True, text=True, timeout=120, check=True)
-        code, peak_kb = map(int, proc.stdout.split())
+        code, peak_kb = peak_rss_kb(
+            ["surjection", "verify", "--dim", "7", "--max-t", max_t,
+             "--out", str(tmp_path / f"t{max_t}.jsonl")])
         assert code == 0
         peaks.append(peak_kb)
     assert abs(peaks[0] - peaks[1]) < 5 * 1024, peaks
+
+
+@pytest.mark.parametrize("argv", [
+    # reads 2 of the 2^20 + 1 sets of the linear pool
+    "--construction linear --dim 20 --count 1",
+    # reads the lines, the planes and 207 of the rank-3 subspaces of
+    # GF(2)^7, less 0
+    "--construction general --geometry linear --dim 7 --count 3000",
+])
+def test_collisions_read_only_the_pool_they_need(argv, tmp_path):
+    # building every set a pool could hold peaks at about 300 and 340 MB
+    code, peak_kb = peak_rss_kb(["surjection", "collisions", *argv.split(),
+                                 "--out", str(tmp_path / "pairs.jsonl")])
+    assert code == 0
+    assert peak_kb < 100 * 1024, peak_kb
 
 
 def test_console_entry_point():

@@ -79,11 +79,14 @@ def test_general_instance_layout():
     assert inst.anchor == frozenset()
     assert inst.anchor_closure == {0}
     # all 67 subspaces contain cl(empty)
-    assert len(tuple(inst.op.closed_sets_upto(16, inst.anchor))) == 67
+    assert len([w for w in inst.op.closed_sets_upto(16)
+                if inst.anchor <= w]) == 67
 
     aff = dualdd.GeneralSurjection.build(pg.affine_operator(4))
     assert len(aff.witness) == 3 and len(aff.anchor) == 1
-    for w in aff.op.closed_sets_upto(16, aff.anchor):
+    over = [w for w in aff.op.closed_sets_upto(16) if aff.anchor <= w]
+    assert len(over) == 67
+    for w in over:
         assert aff.op.cl(w) == w and aff.anchor_closure <= w
 
 
@@ -94,7 +97,8 @@ def test_surject_general_cases():
     # sets meeting cl(anchor) pass through unchanged
     assert dualdd.surject_general(inst, {0, 1}) == {0, 1}
     assert dualdd.surject_general(inst, {0, 3}) == {0, 3}
-    for w in inst.op.closed_sets_upto(16, inst.anchor):
+    over = [w for w in inst.op.closed_sets_upto(16) if inst.anchor <= w]
+    for w in over:
         assert dualdd.surject_general(inst, w - inst.anchor_closure) \
             == frozenset()
     # GF(2)^7 holds 29,212 subspaces, past the budget of a generic
@@ -146,8 +150,8 @@ def test_surject_general_matches_the_closed_set_search(dim, monkeypatch):
     # over the anchor inside s u cl(anchor), by size, union and count
     instances = [dualdd.GeneralSurjection.build(maker(dim))
                  for maker in (pg.linear_operator, pg.affine_operator)]
-    families = [tuple(inst.op.closed_sets_upto(len(inst.op.ground),
-                                               inst.anchor))
+    families = [tuple(w for w in inst.op.closed_sets_upto(len(inst.op.ground))
+                      if inst.anchor <= w)
                 for inst in instances]
     cases = []
     for s in zero_free_sets(dim):
@@ -289,32 +293,35 @@ def test_collision_pairs_linear():
             == dualdd.surject_linear(second, 3)
 
 
+def general_pool_reference(inst):
+    """The collision pool from the definition: every closed set over the
+    anchor, by the generic search, less cl(anchor) and less the empty
+    set."""
+    family = inst.op.closed_sets_upto(len(inst.op.ground))
+    diffs = {w - inst.anchor_closure for w in family
+             if inst.anchor_closure <= w} - {frozenset()}
+    return sorted(diffs, key=lambda s: (len(s), sorted(s)))
+
+
 def test_collision_pool_prefixes_match_the_full_pool():
     for op in (pg.linear_operator(4), pg.affine_operator(3),
                pg.affine_operator(4)):
         inst = dualdd.GeneralSurjection.build(op)
-        family = op.closed_sets_upto(len(op.ground), inst.anchor)
-        diffs = {w - inst.anchor_closure for w in family} - {frozenset()}
-        full = sorted(diffs, key=lambda s: (len(s), sorted(s)))
+        full = general_pool_reference(inst)
         for n in range(len(full) + 2):
             assert list(islice(inst.collision_pool(), n)) == full[:n]
 
 
-def test_collision_pool_runs_one_search(monkeypatch):
-    inst = dualdd.GeneralSurjection.build(pg.linear_operator(4))
-    calls = []
-    search = inst.op.closed_sets_upto
+def test_collision_pool_closes_no_set(monkeypatch):
+    # after `build` the pool reads the subspace enumeration, not op.cl
+    def refuse(subset):
+        raise AssertionError("the collision pool closed a set")
 
-    def recorded(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(inst.op, "closed_sets_upto", recorded)
-    pool = inst.collision_pool()
-    assert next(pool) == {1}  # a line through 0, less 0
-    # the other 14 lines, then planes and the whole space, less 0
-    assert len(list(islice(pool, 50))) == 50
-    assert calls == [(16, inst.anchor)]
+    for op in (pg.linear_operator(4), pg.affine_operator(4)):
+        inst = dualdd.GeneralSurjection.build(op)
+        full = general_pool_reference(inst)
+        monkeypatch.setattr(inst.op, "cl", refuse)
+        assert list(inst.collision_pool()) == full
 
 
 def test_collision_pairs_general():

@@ -107,18 +107,18 @@ def test_enumerate_subspaces_counts_match_gaussian_binomials():
         return num // den
 
     for d in range(1, 6):
-        subs = gf2core.enumerate_subspaces(d)
+        subs = list(gf2core.enumerate_subspaces(d))
         expected = sum(product_formula(d, k) for k in range(d + 1))
         assert len(subs) == expected
-    assert len(gf2core.enumerate_subspaces(1)) == 2
-    assert len(gf2core.enumerate_subspaces(2)) == 5
-    assert len(gf2core.enumerate_subspaces(4)) == 67
+    assert len(list(gf2core.enumerate_subspaces(1))) == 2
+    assert len(list(gf2core.enumerate_subspaces(2))) == 5
+    assert len(list(gf2core.enumerate_subspaces(4))) == 67
 
 
 def test_enumerate_subspaces_exhaustive_closure_oracle_d3():
     # every returned member set is closed under xor; every closed set
     # appears exactly once
-    subs = gf2core.enumerate_subspaces(3)
+    subs = list(gf2core.enumerate_subspaces(3))
     seen = {tuple(sorted(s.members)) for s in subs}
     assert len(seen) == len(subs)
     closed = []
@@ -130,12 +130,29 @@ def test_enumerate_subspaces_exhaustive_closure_oracle_d3():
 
 
 def test_enumerate_subspaces_order_and_max_card():
-    subs = gf2core.enumerate_subspaces(3)
+    subs = list(gf2core.enumerate_subspaces(3))
     keys = [(len(s.members), tuple(sorted(s.members))) for s in subs]
     assert keys == sorted(keys)
-    lines = gf2core.enumerate_subspaces(3, max_card=2)
+    lines = list(gf2core.enumerate_subspaces(3, max_card=2))
     assert len(lines) == 1 + 7
     assert all(len(s.members) <= 2 for s in lines)
+
+
+def test_enumerate_subspaces_builds_one_rank_at_a_time(monkeypatch):
+    built = []
+    real = gf2core.Subspace
+
+    def recorded(dim, basis, members):
+        built.append(len(basis))
+        return real(dim, basis, members)
+
+    monkeypatch.setattr(gf2core, "Subspace", recorded)
+    subs = iter(gf2core.enumerate_subspaces(7))
+    # {0} and the 127 lines, and no plane yet
+    assert [next(subs).rank for _ in range(128)] == [0] + [1] * 127
+    assert built == [0] + [1] * 127
+    assert next(subs).members == {0, 1, 2, 3}
+    assert built[-1] == 2
 
 
 def test_enumerate_subspaces_budget_and_caps():
