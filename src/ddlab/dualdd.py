@@ -24,12 +24,12 @@ from .errors import (
     IntermediateAssertFailed,
 )
 from .gf2core import (
-    all_invertible,
     bits_list,
     check_dim,
     check_vectors,
     enumerate_subspaces,
     extend_independent,
+    gl_generators,
     random_invertible,
 )
 from .pregeometry import ClosureOperator, is_independent
@@ -125,14 +125,12 @@ class LinearSurjection:
         return (frozenset([0, v]) for v in range(1 << self.dim))
 
     def sample_map(self, rng: random.Random) -> Callable[[int], int]:
-        """A ground permutation for `permlab.check_equivariance`: one
-        `random_invertible` map (a `LinearMap` is callable on points)."""
+        """One `random_invertible` map, callable on points."""
         return random_invertible(self.dim, rng)
 
-    def all_maps(self) -> list[Callable[[int], int]]:
-        """Every invertible linear map as a ground permutation, in
-        `all_invertible` order; exhaustive, so dim <= 4."""
-        return all_invertible(self.dim)
+    def generators(self) -> list[Callable[[int], int]]:
+        """The `gl_generators` of GL(dim, 2), each callable on points."""
+        return gl_generators(self.dim)
 
 
 SPOT_CHECKS = 5  # independent sets of the witness size checked too
@@ -179,7 +177,7 @@ def _spot_check_same_size(op: ClosureOperator,
 # d=8), and GF(2)^8 has 417,199 subspaces, past the enumeration budget.  At
 # d=7 on a 2-core x86-64 machine, whole process: `verify --max-t 2` 0.5-0.7
 # CPU-s at 25-29 MB, `equivariance` (100 trials) 0.2-0.3 at 21-25 MB, and
-# `collisions` 0.4-0.6 at 33-36 MB (--count 3000), 1.3-2.1 at 49-52 (16000).
+# `collisions` 0.4-0.6 at 33-36 MB (--count 3000), 0.6-0.8 at 49-52 (16000).
 GENERAL_MAX_GROUND = 128
 
 
@@ -254,7 +252,7 @@ class GeneralSurjection:
     # the closure-preserving maps fixing the anchor pointwise: GL(dim, 2),
     # which fixes cl(anchor) = {0} and so the whole anchor
     sample_map = LinearSurjection.sample_map
-    all_maps = LinearSurjection.all_maps
+    generators = LinearSurjection.generators
 
     def __repr__(self):
         return (f"GeneralSurjection(kind={self.op.kind!r}, witness="
@@ -333,19 +331,19 @@ def preimage_general_trace(inst: GeneralSurjection, target: Iterable[int]
 
 
 def collision_pairs(construction, count: int):
-    """Ordered pairs (S1, S2) of distinct sets with equal image under a
-    `LinearSurjection` or `GeneralSurjection`, each verified by
-    re-evaluating the surjection."""
+    """(image, pairs): `count` ordered pairs (S1, S2) of distinct sets
+    under a `LinearSurjection` or `GeneralSurjection`, and the one image
+    all of them have, verified by surjecting each pool set once."""
     if count < 1:
         raise ValueError("count must be at least 1")
     # the first `count` pairs of any pool use at most its first count + 1
     pool = list(islice(construction.collision_pool(), count + 1))
+    images = set(map(construction.surject, pool))
+    if len(images) > 1:
+        raise IntermediateAssertFailed(
+            "collision pool entries disagree under the surjection")
     pairs = list(islice(permutations(pool, 2), count))
-    for first, second in pairs:
-        if construction.surject(first) != construction.surject(second):
-            raise IntermediateAssertFailed(
-                "collision pool entries disagree under the surjection")
     if len(pairs) < count:
         raise BudgetExceeded(
             f"only {len(pairs)} collision pairs available, {count} requested")
-    return pairs
+    return images.pop(), pairs

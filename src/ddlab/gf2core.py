@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
@@ -74,9 +73,6 @@ class Subspace:
     def rank(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -128,14 +124,11 @@ def random_invertible(dim: int, rng: random.Random) -> LinearMap:
             return candidate
 
 
-def all_invertible(dim: int) -> list[LinearMap]:
-    """Every invertible map on GF(2)^dim, columns in lexicographic order;
-    exhaustive, so dim <= 4."""
-    if dim > 4:
-        raise ValueError("exhaustive GL enumeration limited to dim <= 4")
-    maps = (LinearMap(dim, cols)
-            for cols in product(range(1 << dim), repeat=dim))
-    return [m for m in maps if m.invertible]
+def gl_generators(dim: int) -> list[LinearMap]:
+    """Two maps generating GL(dim, 2): e1 -> e0 + e1, and e_i -> e_(i+1)."""
+    basis = LinearMap.identity(dim).cols
+    return [LinearMap(dim, (1, 3) + basis[2:]),
+            LinearMap(dim, basis[1:] + basis[:1])] if dim > 1 else []
 
 
 def span(vectors: Iterable[int], dim: int) -> Subspace:
@@ -218,18 +211,19 @@ def enumerate_subspaces(dim: int, max_card: int | None = None,
 
 def _subspaces_by_rank(dim: int, max_rank: int) -> Iterator[Subspace]:
     """Each rank sorted by member list, built once the rank below is read:
-    rank r + 1 extends each rank-r subspace by every v above its last
-    extension that is the least element of its coset."""
-    level = [(frozenset([0]), 0)]  # (members, last extension)
+    rank r + 1 extends by every v past its top leading bit and without the
+    others, the least of its coset (each member but 0 tops at a leader)."""
+    level = [(frozenset([0]), 0)]  # (members, echelon leading bits)
     for rank in range(max_rank + 1):
         for members in sorted(sorted(ms) for ms, _ in level):
             yield Subspace(dim, _kernels.rref_basis(members),
                            frozenset(members))
         if rank < max_rank:
-            level = [(members | {v ^ w for w in members}, v)
-                     for members, last in level
-                     for v in range(last + 1, 1 << dim)
-                     if all(v ^ w >= v for w in members)]
+            level = [(members | {v ^ w for w in members},
+                      leaders | 1 << (v.bit_length() - 1))
+                     for members, leaders in level
+                     for v in range(1 << leaders.bit_length(), 1 << dim)
+                     if not v & leaders]
 
 
 def _echelon_with_combos(vectors: Sequence[int]) -> dict[int, tuple[int, int]]:

@@ -259,6 +259,11 @@ def test_09_equivariance():
     report = permlab.check_equivariance(dualdd.LinearSurjection(3),
                                         trials=1000, seed=SEED)
     assert report.ok and report.trials == 1000
+    # the two generators of GL(4, 2) against all 65,536 sets, which covers
+    # every map of the group
+    report = permlab.check_equivariance(dualdd.LinearSurjection(4),
+                                        exhaustive_max_size=16)
+    assert report.ok and report.trials == 20_160 * 65_536
 
     rng = random.Random(SEED)
     # renamings of all 5 points, from their own generator so the relations
@@ -312,7 +317,8 @@ def test_09_equivariance():
                 df.synthesize_formula(rel, minimal.members))
         completed.append(done)
     assert completed == [200, 200, 173]
-    _ok(9, f"linear equivariance exhaustive at d=2 (90 cases) and over "
+    _ok(9, f"linear equivariance exhaustive at d=2 (90 cases) and at d=4 "
+           f"(20160 maps x 65536 sets, through 2 generators), and over "
            f"1000 seeded trials at d=3; synthesis equivariant on 200 "
            f"seeded relations, and minimal supports, recursive supports "
            f"({tied} tied at the same stage) and synthesis commute with a "

@@ -465,6 +465,24 @@ def test_equivariance_failures_exit_1(monkeypatch, argv):
         assert entry["set"] == sorted(set(entry["set"]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dim", "10", "--exhaustive-max-size", "3"],
+    ["--construction", "general", "--geometry", "affine", "--dim", "5",
+     "--exhaustive-max-size", "32"],
+], ids=" ".join)
+def test_equivariance_cap_fires_before_any_construction(monkeypatch, capsys,
+                                                        argv):
+    def refuse(*args):
+        raise AssertionError("built or surjected past the cap")
+
+    monkeypatch.setattr(dualdd.GeneralSurjection, "build", refuse)
+    for cls in (dualdd.LinearSurjection, dualdd.GeneralSurjection):
+        monkeypatch.setattr(cls, "surject", refuse)
+    assert run_cli(["equivariance", *argv]) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "ddlab: exhaustive equivariance limited to 1048576 sets, got ")
+
+
 def test_table_format():
     code, out = run_cli(["orbits", "--dim", "2", "--format", "table"])
     assert code == 0
@@ -492,11 +510,11 @@ def test_config_errors_exit_2():
     ["equivariance", "--construction", "general", "--geometry", "affine",
      "--dim", "3", "--trials", "-2"],
     ["equivariance", "--dim", "2", "--exhaustive-max-size", "-1"],
-    # exhaustive mode lists all of GL(d, 2), so d <= 4 for both
-    # constructions
-    ["equivariance", "--dim", "5", "--exhaustive-max-size", "1"],
+    # exhaustive mode is capped at 2^20 sets for both constructions:
+    # 178,957,825 and 11,017,633 sets
+    ["equivariance", "--dim", "10", "--exhaustive-max-size", "3"],
     ["equivariance", "--construction", "general", "--geometry", "linear",
-     "--dim", "5", "--exhaustive-max-size", "1"],
+     "--dim", "7", "--exhaustive-max-size", "4"],
     ["orbits", "--dim", "21"],
     ["dichotomy", "--dim", "21", "--set", "[]"],
     ["surjection", "collisions", "--dim", "2", "--count", "0"],

@@ -12,6 +12,7 @@ from ddlab.errors import (
     DegenerateGeometry,
     DimensionExhausted,
     GroundExhausted,
+    IntermediateAssertFailed,
 )
 
 
@@ -282,14 +283,15 @@ def test_preimage_general_matches_the_closure_construction(dim,
 
 def test_collision_pairs_linear():
     assert dualdd.collision_pairs(dualdd.LinearSurjection(2), 1) \
-        == [(frozenset({0}), frozenset({0, 1}))]
-    pairs = dualdd.collision_pairs(dualdd.LinearSurjection(1), 2)
+        == (frozenset(), [(frozenset({0}), frozenset({0, 1}))])
+    image, pairs = dualdd.collision_pairs(dualdd.LinearSurjection(1), 2)
+    assert image == frozenset()
     assert pairs == [(frozenset({0}), frozenset({0, 1})),
                      (frozenset({0, 1}), frozenset({0}))]
-    for first, second in dualdd.collision_pairs(
-            dualdd.LinearSurjection(3), 10):
+    image, pairs = dualdd.collision_pairs(dualdd.LinearSurjection(3), 10)
+    for first, second in pairs:
         assert first != second
-        assert dualdd.surject_linear(first, 3) \
+        assert dualdd.surject_linear(first, 3) == image \
             == dualdd.surject_linear(second, 3)
 
 
@@ -326,8 +328,28 @@ def test_collision_pool_closes_no_set(monkeypatch):
 
 def test_collision_pairs_general():
     inst = dualdd.GeneralSurjection.build(pg.linear_operator(3))
-    pairs = dualdd.collision_pairs(inst, 1)
-    assert pairs == [(frozenset({1}), frozenset({2}))]
-    for first, second in dualdd.collision_pairs(inst, 6):
-        assert dualdd.surject_general(inst, first) \
+    assert dualdd.collision_pairs(inst, 1) \
+        == (frozenset(), [(frozenset({1}), frozenset({2}))])
+    image, pairs = dualdd.collision_pairs(inst, 6)
+    for first, second in pairs:
+        assert dualdd.surject_general(inst, first) == image \
             == dualdd.surject_general(inst, second)
+
+
+def test_collision_pairs_surject_each_pool_set_once(monkeypatch):
+    surjected = []
+    surject = dualdd.LinearSurjection.surject
+
+    def counting(self, subset):
+        surjected.append(subset)
+        return surject(self, subset)
+
+    monkeypatch.setattr(dualdd.LinearSurjection, "surject", counting)
+    _, pairs = dualdd.collision_pairs(dualdd.LinearSurjection(3), 5)
+    pool = list(islice(dualdd.LinearSurjection(3).collision_pool(), 6))
+    assert len(pairs) == 5 and surjected == pool
+    # a pool set with another image is reported
+    monkeypatch.setattr(dualdd.LinearSurjection, "surject",
+                        lambda self, subset: frozenset(subset))
+    with pytest.raises(IntermediateAssertFailed, match="disagree"):
+        dualdd.collision_pairs(dualdd.LinearSurjection(3), 5)

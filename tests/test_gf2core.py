@@ -1,12 +1,13 @@
 """gf2core unit tests; derived values come from brute-force oracles."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import gf2core
+from ddlab import gf2core, permlab
 from ddlab.errors import BudgetExceeded, DimensionExhausted, PointInSpan
 
 
@@ -202,6 +203,62 @@ def test_linear_map_identity_and_rank():
     assert all(ident.apply(v) == v for v in range(8))
     singular = gf2core.LinearMap(2, (1, 1))
     assert singular.rank == 1 and not singular.invertible
+
+
+def compose(f, g):
+    """The map f after g (the matrix product f g)."""
+    return gf2core.LinearMap(f.dim, tuple(map(f.apply, g.cols)))
+
+
+def elementary(dim, i, j):
+    """The elementary transvection I + E_ij: e_j -> e_j + e_i."""
+    cols = list(gf2core.LinearMap.identity(dim).cols)
+    cols[j] |= 1 << i
+    return gf2core.LinearMap(dim, tuple(cols))
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (2, 6), (3, 168),
+                                       (4, 20_160)])
+def test_gl_generators_close_to_the_whole_group(dim, order):
+    # |GL(d, 2)| = prod (2^d - 2^i)
+    assert order == prod((1 << dim) - (1 << i) for i in range(dim))
+    gens = gf2core.gl_generators(dim)
+    assert len(gens) == (2 if dim > 1 else 0)
+    assert all(g.invertible for g in gens)
+    # breadth-first closure from the identity; in a finite group the
+    # products of generators are the whole generated group
+    seen = frontier = {gf2core.LinearMap.identity(dim)}
+    while frontier:
+        frontier = {compose(g, f) for f in frontier for g in gens} - seen
+        seen |= frontier
+    assert len(seen) == order
+
+
+@pytest.mark.parametrize("dim", range(2, permlab.EQUIVARIANCE_MAX_DIM + 1))
+def test_gl_generators_make_every_elementary_transvection(dim):
+    # the elementary transvections generate GL(d, 2), so a word in the two
+    # generators for each of them shows that the pair generates it too
+    t, shift = gf2core.gl_generators(dim)
+    unshift = shift
+    for _ in range(dim - 2):
+        unshift = compose(shift, unshift)
+    assert compose(shift, unshift) == gf2core.LinearMap.identity(dim)
+    # conjugates by powers of the shift: I + E_(k, k+1)
+    words = {}
+    conjugate = t
+    for k in range(dim):
+        words[k, (k + 1) % dim] = conjugate
+        conjugate = compose(shift, compose(conjugate, unshift))
+    # commutators [I + E_ik, I + E_kj] = I + E_ij; each is an involution,
+    # so its own inverse in the word
+    for gap in range(2, dim):
+        for i in range(dim):
+            k, j = (i + gap - 1) % dim, (i + gap) % dim
+            a, b = words[i, k], words[k, j]
+            words[i, j] = compose(a, compose(b, compose(a, b)))
+    assert len(words) == dim * (dim - 1)
+    for (i, j), word in words.items():
+        assert word == elementary(dim, i, j)
 
 
 def test_vector_serialization_round_trip():

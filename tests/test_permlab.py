@@ -3,7 +3,7 @@
 import gc
 import random
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -30,10 +30,17 @@ def blocks_of(orbits):
     return sorted(blocks, key=min)
 
 
+def gl_listing(dim):
+    """Every invertible map on GF(2)^dim, found among all column tuples."""
+    maps = (LinearMap(dim, cols)
+            for cols in product(range(1 << dim), repeat=dim))
+    return [m for m in maps if m.invertible]
+
+
 def brute_orbits(fixed, dim):
     """Oracle: union-find over every invertible map fixing the span."""
     fixed_span = span(fixed, dim).members
-    stabilizer = [m for m in gf2core.all_invertible(dim)
+    stabilizer = [m for m in gl_listing(dim)
                   if all(m.apply(w) == w for w in fixed_span)]
     parent = list(range(1 << dim))
 
@@ -355,13 +362,6 @@ def test_check_dichotomy_without_orbits_matches_given():
                     == permlab.check_dichotomy(b, fixed, dim, orbits=orbits))
 
 
-def test_all_invertible_counts():
-    # |GL(d, 2)| = prod (2^d - 2^i)
-    assert len(gf2core.all_invertible(1)) == 1
-    assert len(gf2core.all_invertible(2)) == 6
-    assert len(gf2core.all_invertible(3)) == 168
-
-
 def test_random_invertible_is_seeded():
     a = gf2core.random_invertible(4, random.Random(9))
     b = gf2core.random_invertible(4, random.Random(9))
@@ -392,12 +392,56 @@ def test_equivariance_general_measured():
 
 @pytest.mark.parametrize("maker", [pg.linear_operator, pg.affine_operator])
 def test_equivariance_general_exhaustive(maker):
-    # every map of GL(3, 2) against every subset of the 8 points
-    inst = dualdd.GeneralSurjection.build(maker(3))
-    report = permlab.check_equivariance(inst, exhaustive_max_size=8)
-    assert report.trials == 168 * 256 and report.failures == 0
-    assert report.params == {"kind": inst.op.kind, "dim": 3,
-                             "exhaustive_max_size": 8}
+    # GL(4, 2) through its two generators, against every subset of the
+    # 16 points
+    inst = dualdd.GeneralSurjection.build(maker(4))
+    report = permlab.check_equivariance(inst, exhaustive_max_size=16)
+    assert report.trials == 20_160 * 65_536 and report.failures == 0
+    assert report.params == {"kind": inst.op.kind, "dim": 4,
+                             "exhaustive_max_size": 16}
+
+
+# surjections that commute with only part of GL(d, 2) for d > 1: adjoining
+# the point 1 commutes with the maps fixing e0, the transvection among
+# them, and adjoining the basis with the coordinate permutations
+ADJOINED = {"clean": None, "adjoin-1": lambda dim: {1},
+            "adjoin-basis": lambda dim: {1 << i for i in range(dim)}}
+
+
+@pytest.mark.parametrize("broken", ADJOINED)
+@pytest.mark.parametrize("maker,dim", [
+    (None, 1), (None, 2), (None, 3),
+    (pg.linear_operator, 2), (pg.linear_operator, 3),
+    (pg.affine_operator, 2), (pg.affine_operator, 3)])
+def test_generator_mode_matches_the_listed_group(monkeypatch, maker, dim,
+                                                 broken):
+    # every listed map against every set is the reference the generator
+    # mode stands in for
+    construction = (dualdd.LinearSurjection(dim) if maker is None
+                    else dualdd.GeneralSurjection.build(maker(dim)))
+    if ADJOINED[broken]:
+        extra = ADJOINED[broken](dim)
+        monkeypatch.setattr(type(construction), "surject",
+                            lambda self, subset: frozenset(subset) | extra)
+
+    # the family is every set, so every g S is in it too
+    family = [frozenset(c) for size in range((1 << dim) + 1)
+              for c in combinations(range(1 << dim), size)]
+    image = {s: construction.surject(s) for s in family}
+
+    def commutes(m, s):
+        return image[m.apply_set(s)] == m.apply_set(image[s])
+
+    maps = gl_listing(dim)
+    listed = all(commutes(m, s) for s in family for m in maps)
+    assert listed == (broken == "clean" or dim == 1)
+    report = permlab.check_equivariance(construction,
+                                        exhaustive_max_size=1 << dim)
+    assert report.ok == listed
+    assert report.trials == len(maps) * len(family)
+    # failures count the (generator, set) cases run
+    assert report.failures == sum(not commutes(g, s) for s in family
+                                  for g in gf2core.gl_generators(dim))
 
 
 def test_stabilizer_orbits_builds_no_moving_map(monkeypatch):
@@ -435,11 +479,31 @@ def test_equivariance_rejects_bad_requests():
             (general, {"trials": -2}),
             (linear, {"exhaustive_max_size": -1}),
             (general, {"exhaustive_max_size": -1}),
+            # past the exhaustive cap of 2^20 sets: all 2^32 sets
             (dualdd.GeneralSurjection.build(pg.affine_operator(5)),
-             {"exhaustive_max_size": 1}),
+             {"exhaustive_max_size": 32}),
             (dualdd.LinearSurjection(11), {"trials": 1})):
         with pytest.raises(ValueError):
             permlab.check_equivariance(construction, **kwargs)
+
+
+def test_equivariance_cap_fires_before_any_surjection(monkeypatch):
+    def refuse(self, subset):
+        raise AssertionError("surjected a set")
+
+    for cls in (dualdd.LinearSurjection, dualdd.GeneralSurjection):
+        monkeypatch.setattr(cls, "surject", refuse)
+    # 178,957,825 and 2^32 sets
+    for construction, size in (
+            (dualdd.LinearSurjection(10), 3),
+            (dualdd.GeneralSurjection.build(pg.affine_operator(5)), 32)):
+        with pytest.raises(ValueError, match="limited to 1048576 sets"):
+            permlab.check_equivariance(construction,
+                                       exhaustive_max_size=size)
+    # 524,801 sets are under the cap, so this one reaches the surjection
+    with pytest.raises(AssertionError, match="surjected a set"):
+        permlab.check_equivariance(dualdd.LinearSurjection(10),
+                                   exhaustive_max_size=2)
 
 
 def _non_equivariant(monkeypatch, cls):
