@@ -4,7 +4,7 @@ emitting self-describing JSON lines (or a table derived from them).
 Each handler yields (record, ok) pairs, ok False for a violation, and
 `main` writes every record as one line the moment it exists.
 
-Exit status: 0 clean, 1 violations found, 2 bad configuration.
+Exit status: 0 clean, 1 violations found, 2 bad configuration or error.
 """
 
 from __future__ import annotations
@@ -273,19 +273,26 @@ def _cmd_equivariance(args):
 
 
 def _cmd_sigma(args):
-    fixed = _parse_json(args.fixed or "[]", "--fixed", 1)
-    sets = _parse_json(args.sets or "[]", "--sets", 2)
+    def label(entry, what):
+        if type(entry) is not int or not 0 <= entry < args.ground:
+            raise ConfigError(f"{what}: {json.dumps(entry)} is not a label "
+                              f"in range({args.ground})")
+        return entry
+
+    fixed = _parse_json(args.fixed or "[]", "--fixed", 1, label)
+    sets = _parse_json(args.sets or "[]", "--sets", 2, label)
+    target = (_parse_json(args.target, "--target", 1, label)
+              if args.target is not None else None)
     families = [frozenset(s) for s in sets]
     classes = definability.signature_classes(args.ground, fixed, families)
-    bound = len(set(fixed) & set(range(args.ground))) + (1 << len(families))
+    bound = len(set(fixed)) + (1 << len(families))
     record = {"check": "sigma", "ground": args.ground,
               "fixed": sorted(set(fixed)),
               "sets": [sorted(s) for s in families],
               "classes": [sorted(c) for c in classes],
               "class_count": len(classes), "bound": bound,
               "bound_ok": len(classes) <= bound}
-    if args.target is not None:
-        target = _parse_json(args.target, "--target", 1)
+    if target is not None:
         witness = definability.nonunion_witness(classes, target)
         record["target"] = sorted(set(target))
         record["witness"] = list(witness) if witness else None
@@ -402,6 +409,9 @@ def main(argv=None, stream=None) -> int:
         return 2
     except DdlabError as exc:
         print(f"ddlab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("ddlab: out of memory", file=sys.stderr)
         return 2
     return 1 if violations else 0
 

@@ -87,7 +87,8 @@ class EqualityType:
         smallest labels outside the parameters, in block order."""
         if not self.realizable(ground_size):
             raise ValueError("type is not realizable on this ground size")
-        free = [x for x in range(ground_size) if x not in set(self.params)]
+        params = set(self.params)
+        free = [x for x in range(ground_size) if x not in params]
         return tuple(a[1] if a[0] == "const" else free[a[1]]
                      for a in self.assign)
 
@@ -104,78 +105,37 @@ class EqualityType:
                 lits.append(("vc", i + 1, c, a == ("const", c)))
         return _normalize_disjunct(lits)
 
-    def satisfies(self, body: tuple[tuple, ...]) -> bool:
-        """Evaluate a DNF body under this type's equality pattern."""
-        for disjunct in body:
-            ok = True
-            for kind, i, other, positive in disjunct:
-                if kind == "vv":
-                    truth = self.assign[i - 1] == self.assign[other - 1]
-                else:
-                    truth = self.assign[i - 1] == ("const", other)
-                if truth != positive:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-
-def _set_partitions(items: tuple[int, ...]):
-    """All partitions of items into nonempty blocks, blocks ordered by
-    first occurrence."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield ((first,),) + sub
-        for idx, block in enumerate(sub):
-            yield sub[:idx] + (block + (first,),) + sub[idx + 1:]
-
 
 @lru_cache(maxsize=None)
 def complete_types(arity: int, params: tuple[int, ...]
                    ) -> tuple[EqualityType, ...]:
-    """Every complete equality type on the given arity and parameters,
-    in a fixed deterministic order."""
+    """Every complete equality type on the given arity and (sorted)
+    parameters, ascending by `assign`: each grown once as a restricted-growth
+    tuple (Knuth, TAOCP 4A, 7.2.1.5), a position taking each parameter, then
+    a fresh block already opened or the next new one."""
     out = []
-    positions = tuple(range(arity))
-    for raw in _set_partitions(positions):
-        blocks = tuple(sorted(tuple(sorted(b)) for b in raw))
 
-        def assignments(idx: int, used: frozenset[int], chosen: tuple):
-            if idx == len(blocks):
-                yield chosen
-                return
-            for c in params:
-                if c not in used:
-                    yield from assignments(idx + 1, used | {c},
-                                           chosen + (("const", c),))
-            yield from assignments(idx + 1, used, chosen + (("fresh", None),))
+    def grow(assign: tuple, fresh: int):
+        if len(assign) == arity:
+            out.append(EqualityType(arity, params, assign))
+            return
+        for c in params:
+            grow(assign + (("const", c),), fresh)
+        for f in range(fresh + 1):
+            grow(assign + (("fresh", f),), fresh + (f == fresh))
 
-        for chosen in assignments(0, frozenset(), ()):
-            assign: list = [None] * arity
-            fresh_id = 0
-            # fresh ids numbered by first position occurrence
-            order = sorted(range(len(blocks)), key=lambda b: blocks[b][0])
-            for b in order:
-                value = chosen[b]
-                if value[0] == "fresh":
-                    value = ("fresh", fresh_id)
-                    fresh_id += 1
-                for pos in blocks[b]:
-                    assign[pos] = value
-            out.append(EqualityType(arity, params, tuple(assign)))
-    uniq = sorted(set(out), key=lambda t: t.assign)
-    return tuple(uniq)
+    grow((), 0)
+    return tuple(out)
 
 
 def canonicalize(formula: Formula) -> Formula:
     """The canonical DNF: all complete equality types implying the formula,
-    rendered as complete conjunctions, sorted."""
+    rendered as complete conjunctions, sorted.  A type is decided at its
+    witness: with its constants among the params, a formula takes one
+    value on every tuple realizing a type."""
+    ground = len(formula.params) + formula.arity
     included = [t for t in complete_types(formula.arity, formula.params)
-                if t.satisfies(formula.body)]
+                if evaluate(formula, t.witness(ground))]
     body = tuple(sorted(t.to_literals() for t in included))
     return Formula(formula.arity, formula.params, body)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .errors import BudgetExceeded, DimensionExhausted, IntermediateAssertFailed, PointInSpan
@@ -226,39 +226,13 @@ def _subspaces_by_rank(dim: int, max_rank: int) -> Iterator[Subspace]:
                      if not v & leaders]
 
 
-def _echelon_with_combos(vectors: Sequence[int]) -> dict[int, tuple[int, int]]:
-    """Echelon rows tagged with the input combination producing them."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, v in enumerate(vectors):
-        combo = 1 << idx
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                pv, pc = pivots[lead]
-                v ^= pv
-                combo ^= pc
-            else:
-                pivots[lead] = (v, combo)
-                break
-    return pivots
-
-
-def _express(target: int, pivots: dict[int, tuple[int, int]]) -> int | None:
-    """Combination bitmask expressing target, or None if outside the span."""
-    combo = 0
-    v = target
-    while v:
-        lead = v.bit_length() - 1
-        if lead not in pivots:
-            return None
-        pv, pc = pivots[lead]
-        v ^= pv
-        combo ^= pc
-    return combo
-
-
 def fixing_linear_map(fixed: Iterable[int], u: int, v: int, dim: int) -> LinearMap:
-    """Invertible map fixing span(fixed) pointwise and sending u to v."""
+    """Invertible map fixing span(fixed) pointwise and sending u to v.
+
+    It sends the domain basis, span(fixed)'s echelon basis then u then the
+    least picks outside, to the codomain basis, the same with v for u.  The
+    domain reduces to the echelon rows e_0 .. e_(dim-1), each carrying its
+    image along: the columns."""
     check_dim(dim)
     fixed = check_vectors(fixed, dim)
     check_vectors((u, v), dim)
@@ -269,21 +243,16 @@ def fixing_linear_map(fixed: Iterable[int], u: int, v: int, dim: int) -> LinearM
     rest = dim - len(base) - 1
     domain = base + [u] + extend_independent(base + [u], rest, dim)
     codomain = base + [v] + extend_independent(base + [v], rest, dim)
-    pivots = _echelon_with_combos(domain)
-    cols = []
-    for i in range(dim):
-        combo = _express(1 << i, pivots)
-        if combo is None:
-            raise IntermediateAssertFailed("domain basis is not a basis")
-        img = 0
-        j = 0
-        while combo:
-            if combo & 1:
-                img ^= codomain[j]
-            combo >>= 1
-            j += 1
-        cols.append(img)
-    pi = LinearMap(dim, tuple(cols))
+    rows = []  # (row, image), each row owning its leading bit
+    for x, y in zip(domain, codomain):
+        for b, image in rows:
+            if x ^ b < x:
+                x ^= b
+                y ^= image
+        rows = [(b ^ x, image ^ y) if b ^ x < b else (b, image)
+                for b, image in rows]
+        rows.append((x, y))
+    pi = LinearMap(dim, tuple(image for _, image in sorted(rows)))
     if not pi.invertible or pi.apply(u) != v:
         raise IntermediateAssertFailed("fixing map construction failed")
     for w in fixed_span.members:

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from ddlab import dualdd
+from ddlab import dualdd, pregeometry
 from ddlab.cli import main
 
 
@@ -554,6 +554,13 @@ def test_config_errors_exit_2():
     ["sigma", "--ground", "3", "--sets", "5"],
     ["sigma", "--ground", "3", "--fixed", "[1.5]"],
     ["sigma", "--ground", "3", "--fixed", "[true]"],
+    # sigma labels lie in 0..ground-1
+    ["sigma", "--ground", "3", "--fixed", "[-1]"],
+    ["sigma", "--ground", "3", "--fixed", "[3]"],
+    ["sigma", "--ground", "3", "--sets", "[[0], [99]]"],
+    ["sigma", "--ground", "3", "--target", "[7]"],
+    ["sigma", "--ground", "3", "--fixed", "[-1]", "--sets", "[[99]]",
+     "--target", "[7]"],
     ["axioms", "--geometry", "degenerate", "--partition", "[1]"],
     ["support", "--file", '{"n": 3, "k": 1, "tuples": [1]}'],
     ["synth", "--file", '{"n": "3", "k": 1, "tuples": []}'],
@@ -577,6 +584,15 @@ def test_bad_values_exit_2_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("ddlab: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(op, max_subset):
+        raise MemoryError
+
+    monkeypatch.setattr(pregeometry, "check_closure_axioms", exhausted)
+    assert run_cli(["axioms", "--geometry", "linear", "--dim", "2"]) == (2, "")
+    assert capsys.readouterr().err == "ddlab: out of memory\n"
 
 
 def test_unread_options_exit_2(tmp_path, capsys):

@@ -137,6 +137,20 @@ def test_complete_types_counts():
     assert len({t.assign for t in types}) == len(types)
 
 
+def test_complete_types_are_the_types_of_points_in_order():
+    # the distinct types of all tuples over |P| + k labels, parameters
+    # first, in order of first appearance; criterion 9 draws its random
+    # numbers in this order
+    from itertools import product
+    for params in [(), (0,), (2,), (0, 3), (1, 2, 4)]:
+        labels = list(params) + [x for x in range(9) if x not in params]
+        for k in range(5):
+            points = product(labels[:len(params) + k], repeat=k)
+            types = dict.fromkeys(fm.EqualityType.of_point(p, params)
+                                  for p in points)
+            assert fm.complete_types(k, params) == tuple(types)
+
+
 def test_dnf_budget():
     clauses = " ".join(
         f"(or (= x1 c{i}) (= x2 c{i}))" for i in range(40))

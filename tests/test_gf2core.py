@@ -178,6 +178,32 @@ def test_fixing_linear_map_contract():
         gf2core.fixing_linear_map([1], 1, 2, 2)
 
 
+def test_fixing_linear_map_sends_domain_basis_to_codomain_basis():
+    # span(fixed)'s echelon basis, then u (or v), then the least picks
+    # outside; the map depends on fixed only through its span, so every
+    # subspace stands for every fixed set at d <= 4
+    cases = [(sub.basis, u, v, d) for d in range(1, 5)
+             for sub in gf2core.enumerate_subspaces(d)
+             for u in range(1 << d) if u not in sub.members
+             for v in range(1 << d) if v not in sub.members]
+    rng = random.Random(24)
+    for d in (20, 24):
+        for _ in range(50):
+            fixed = [rng.getrandbits(d) for _ in range(rng.randint(0, 8))]
+            members = gf2core.span(fixed, d).members
+            u, v = rng.getrandbits(d), rng.getrandbits(d)
+            if u not in members and v not in members:
+                cases.append((fixed, u, v, d))
+    for fixed, u, v, d in cases:
+        base = list(gf2core.span(fixed, d).basis)
+        rest = d - len(base) - 1
+        domain = base + [u] + gf2core.extend_independent(base + [u], rest, d)
+        codomain = base + [v] + gf2core.extend_independent(base + [v], rest,
+                                                           d)
+        pi = gf2core.fixing_linear_map(fixed, u, v, d)
+        assert [pi.apply(x) for x in domain] == codomain
+
+
 def test_fixing_linear_map_randomized():
     rng = random.Random(13)
     for _ in range(100):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 import weakref
 from itertools import combinations, islice, permutations
 
@@ -431,6 +432,21 @@ def test_full_closure_memo_is_emptied(monkeypatch):
     for v in range(1, 8):
         assert op.cl({v}) == {0, v}
         assert len(op._cache) == (v - 1) % 4 + 1
+
+
+def test_closure_axioms_hold_no_list_of_subsets(monkeypatch):
+    # linear d=6 has 2,081 subsets of at most 2 points; listed, they took
+    # 0.7 MB at the peak, and generated afresh for each pass 32 kB
+    monkeypatch.setattr(pg, "MAX_MEMO", 64)
+    op = pg.linear_operator(6)
+    tracemalloc.start()
+    try:
+        report = pg.check_closure_axioms(op, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.status, report.checked) == ("PASS", 8193)
+    assert peak < 200_000
 
 
 def test_dropped_operator_is_freed_without_gc():
