@@ -273,6 +273,8 @@ def _cmd_equivariance(args):
 
 
 def _cmd_sigma(args):
+    definability.check_signature_ground(args.ground)
+
     def label(entry, what):
         if type(entry) is not int or not 0 <= entry < args.ground:
             raise ConfigError(f"{what}: {json.dumps(entry)} is not a label "

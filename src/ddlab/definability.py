@@ -5,6 +5,7 @@ the membership-signature partition gadgets.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,6 +21,7 @@ from .errors import (
     PartitionViolation,
 )
 from .formulas import EqualityType, Formula, complete_types, evaluate
+from .pregeometry import _points
 
 # Caps checked before any work.  n^k of a relation: 12x the largest used by
 # the tests, golden cases and benchmark (7^3); at the cap, `support
@@ -102,20 +104,29 @@ def _transposition_classes(rel: Relation) -> list[list[int]]:
 
 def is_support(rel: Relation, members: Iterable[int]) -> bool:
     """True when every permutation fixing `members` pointwise preserves
-    the relation, that is, when the points outside lie in one
-    transposition class.  The transpositions from the first outside point
-    to each other one decide this; with fewer than two points outside the
-    stabilizer is trivial and the check is vacuous."""
-    return _is_support(rel.n, rel.tuples, frozenset(members))
+    the relation.  Labels outside {0..n-1} are ignored."""
+    return _is_support(rel.n, rel.tuples, sum(
+        1 << x for x in frozenset(members).intersection(range(rel.n))))
 
 
-def _is_support(n: int, tuples: frozenset, members: frozenset[int]) -> bool:
-    outside = [x for x in range(n) if x not in members]
-    if len(outside) < 2:
+def _is_support(n: int, tuples, members: int) -> bool:
+    """The same test for the point mask `members`: the tuple set must be a
+    union of orbits of Sym(outside).  A tuple's orbit is fixed by its
+    pattern, which keeps the members and numbers the other points by
+    first occurrence, and an orbit with j such points has perm(m, j)
+    tuples when m points lie outside; so every pattern that occurs must
+    occur that often.  With fewer than two points outside the stabilizer
+    is trivial and the check is vacuous."""
+    m = n - members.bit_count()
+    if m < 2:
         return True
-    by_point = _by_point(n, tuples)
-    return all(_preserved(tuples, by_point, outside[0], b)
-               for b in outside[1:])
+    counts: Counter = Counter()
+    for t in tuples:
+        fresh: dict[int, int] = {}
+        pattern = tuple(x if members >> x & 1 else
+                        fresh.setdefault(x, ~len(fresh)) for x in t)
+        counts[len(fresh), pattern] += 1
+    return all(count == math.perm(m, j) for (j, _), count in counts.items())
 
 
 @dataclass(frozen=True)
@@ -169,16 +180,26 @@ class RecursiveSupportTrace:
     generic_class: frozenset[int] | None = None
 
 
-def _chain(start: int, section_support: list[frozenset[int]],
-           n: int) -> SupportChain:
-    levels = [frozenset([start])]
-    for _ in range(n + 1):
-        current = levels[-1]
-        grown = current.union(*(section_support[a] for a in current))
-        if grown == current:
-            break
-        levels.append(grown)
-    return SupportChain(start, tuple(levels), levels[-1])
+def _chain_levels(start: int, reach: list[int]) -> list[int]:
+    """The chain grown from `start` by the section supports `reach`, as
+    cumulative BFS layers of point masks.  A layer adds the reach of the
+    points the layer before it added; the older points' reach is in
+    already."""
+    seen = frontier = 1 << start
+    levels = [seen]
+    while True:
+        grown = seen
+        for a in _points(frontier):
+            grown |= reach[a]
+        if grown == seen:
+            return levels
+        frontier = grown & ~seen
+        seen = grown
+        levels.append(seen)
+
+
+def _point_set(mask: int) -> frozenset[int]:
+    return frozenset(_points(mask))
 
 
 _POINT = -1  # every section point's name in fingerprints, outside any ground
@@ -194,70 +215,104 @@ def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
     """
     if rel.n < 4:
         raise ValueError("need a ground set of at least 4")
-    return _recursive_support(rel.n, rel.k, rel.tuples)
+    if rel.k == 1:
+        return RecursiveSupportTrace(
+            _point_set(_support_mask(rel.n, 1, rel.tuples)))
+    members, levels, major_size, major, generic = _recursion(
+        rel.n, rel.k, rel.tuples)
+    chains = {b: SupportChain(b, tuple(map(_point_set, layers)),
+                              _point_set(layers[-1]))
+              for b, layers in enumerate(levels)}
+    return RecursiveSupportTrace(_point_set(members), chains, major_size,
+                                 _point_set(major), _point_set(generic))
 
 
-def _recursive_support(n: int, k: int, tuples: frozenset
-                       ) -> RecursiveSupportTrace:
-    """The recursion on the k-tuples over {0..n-1}; the sections are the
-    tails of the tuples, grouped by their first point."""
+def _support_mask(n: int, k: int, tuples) -> int:
+    """The support the recursion builds for the k-tuples over {0..n-1},
+    as a point mask."""
     if k == 1:
-        values = frozenset(t[0] for t in tuples)
-        members = (values if 2 * len(values) <= n
-                   else frozenset(range(n)) - values)
-        result = RecursiveSupportTrace(members)
-    else:
-        tails: list[set] = [set() for _ in range(n)]
-        for t in tuples:
-            tails[t[0]].add(t[1:])
-        sections = [frozenset(tail) for tail in tails]
-        section_support = [_recursive_support(n, k - 1, section).members
-                           for section in sections]
-        chains = {b: _chain(b, section_support, n) for b in range(n)}
-        counts = Counter(len(chain.members) for chain in chains.values())
-        majority = [size for size, c in counts.items() if 2 * c > n]
-        if not majority:
-            raise MajorityTie("no chain cardinality holds a strict majority",
-                              stage="chain-cardinality")
-        major_size = majority[0]
-        major = frozenset(b for b in range(n)
-                          if len(chains[b].members) == major_size)
-        # the restricted chains must partition the majority set
-        block_of: dict[int, frozenset[int]] = {}
-        for b in major:
-            block = chains[b].members & major
-            for x in block:
-                if block_of.setdefault(x, block) != block:
-                    raise PartitionViolation(
-                        f"blocks through {x} disagree: {sorted(block)} vs "
-                        f"{sorted(block_of[x])}")
-        if frozenset(block_of) != major:
-            raise PartitionViolation("restricted chains do not cover")
-        solo = [b for b in major if chains[b].members & major == {b}]
-        # equality types over the points outside the majority set, with
-        # each section point renamed to _POINT so sections compare
-        params = (frozenset(range(n)) - major) | {_POINT}
-        classes: dict[frozenset, set[int]] = {}
-        for a in solo:
-            fingerprint = frozenset(
-                EqualityType.of_point(
-                    [_POINT if x == a else x for x in t], params)
-                for t in sections[a])
-            classes.setdefault(fingerprint, set()).add(a)
-        generic = [frozenset(members) for members in classes.values()
-                   if 2 * len(members) > n]
-        if not generic:
-            raise MajorityTie("no fingerprint class holds a strict majority",
-                              stage="class-majority")
-        generic_class = generic[0]
-        members = frozenset().union(
-            *(chains[b].members for b in frozenset(range(n)) - generic_class))
-        result = RecursiveSupportTrace(members, chains, major_size, major,
-                                       generic_class)
-    if not _is_support(n, tuples, result.members):
+        return _unary_support(n, sum(1 << t[0] for t in tuples))
+    return _recursion(n, k, tuples)[0]
+
+
+def _unary_support(n: int, values: int) -> int:
+    """The arity-1 support of the point mask `values`: the mask when it
+    holds at most half the points, else its complement.  A point set is a
+    union of orbits of Sym(outside) exactly when it holds all of outside
+    or none of it."""
+    full = (1 << n) - 1
+    members = values if 2 * values.bit_count() <= n else full ^ values
+    outside = full ^ members
+    if values & outside not in (0, outside):
         raise IntermediateAssertFailed(
-            f"constructed set {sorted(result.members)} is not a support")
-    return result
+            f"constructed set {_points(members)} is not a support")
+    return members
+
+
+def _recursion(n: int, k: int, tuples):
+    """The recursion at arity k >= 2, on point masks.  Returns the
+    members, each chain's levels, the majority chain size, the majority
+    set and the generic class.  The sections are the tails of the tuples,
+    grouped by their first point; at arity 2 each is a row mask."""
+    full = (1 << n) - 1
+    if k == 2:
+        sections = [0] * n
+        for a, b in tuples:
+            sections[a] |= 1 << b
+        section_support = [_unary_support(n, row) for row in sections]
+    else:
+        sections = [set() for _ in range(n)]
+        for t in tuples:
+            sections[t[0]].add(t[1:])
+        section_support = [_support_mask(n, k - 1, section)
+                           for section in sections]
+    levels = [_chain_levels(b, section_support) for b in range(n)]
+    chains = [layers[-1] for layers in levels]
+    counts = Counter(chain.bit_count() for chain in chains)
+    majority = [size for size, c in counts.items() if 2 * c > n]
+    if not majority:
+        raise MajorityTie("no chain cardinality holds a strict majority",
+                          stage="chain-cardinality")
+    major_size = majority[0]
+    major = sum(1 << b for b in range(n)
+                if chains[b].bit_count() == major_size)
+    # the restricted chains must partition the majority set
+    block_of: dict[int, int] = {}
+    for b in _points(major):
+        block = chains[b] & major
+        for x in _points(block):
+            if block_of.setdefault(x, block) != block:
+                raise PartitionViolation(
+                    f"blocks through {x} disagree: {_points(block)} vs "
+                    f"{_points(block_of[x])}")
+    if sum(1 << x for x in block_of) != major:
+        raise PartitionViolation("restricted chains do not cover")
+    solo = [b for b in _points(major) if chains[b] & major == 1 << b]
+    # equality types over the points outside the majority set, with
+    # each section point renamed to _POINT so sections compare
+    params = frozenset(_points(full ^ major)) | {_POINT}
+    classes: dict[frozenset, int] = {}
+    for a in solo:
+        section = (sections[a] if k > 2
+                   else [(x,) for x in _points(sections[a])])
+        fingerprint = frozenset(
+            EqualityType.of_point(
+                [_POINT if x == a else x for x in t], params)
+            for t in section)
+        classes[fingerprint] = classes.get(fingerprint, 0) | 1 << a
+    generic = [members for members in classes.values()
+               if 2 * members.bit_count() > n]
+    if not generic:
+        raise MajorityTie("no fingerprint class holds a strict majority",
+                          stage="class-majority")
+    generic_class = generic[0]
+    members = 0
+    for b in _points(full ^ generic_class):
+        members |= chains[b]
+    if not _is_support(n, tuples, members):
+        raise IntermediateAssertFailed(
+            f"constructed set {_points(members)} is not a support")
+    return members, levels, major_size, major, generic_class
 
 
 def recursive_support(rel: Relation) -> frozenset[int]:
@@ -326,13 +381,19 @@ def partition_dichotomy(rel: Relation, support: Iterable[int]) -> str:
         "outside the support")
 
 
+def check_signature_ground(n: int) -> None:
+    """Raise ValueError unless n is a ground size `signature_classes`
+    takes."""
+    if not 0 <= n <= MAX_SIGNATURE_GROUND:
+        raise ValueError(f"ground size must be 0..{MAX_SIGNATURE_GROUND}")
+
+
 def signature_classes(n: int, fixed: Iterable[int],
                       sets: Sequence[Iterable[int]]
                       ) -> tuple[frozenset[int], ...]:
     """Partition of {0..n-1}: fixed points are singletons, and the rest
     group by their membership signature across the given sets."""
-    if not 0 <= n <= MAX_SIGNATURE_GROUND:
-        raise ValueError(f"ground size must be 0..{MAX_SIGNATURE_GROUND}")
+    check_signature_ground(n)
     fixed = frozenset(fixed) & set(range(n))
     families = [frozenset(s) for s in sets]
     buckets: dict[tuple[bool, ...], set[int]] = {}

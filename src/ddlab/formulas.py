@@ -35,7 +35,8 @@ def _normalize_disjunct(literals) -> tuple:
 
 @dataclass(frozen=True)
 class Formula:
-    """A DNF equality formula over variables x_1..x_arity and constants."""
+    """A DNF equality formula over variables x_1..x_arity and constants,
+    each constant one of `params`."""
 
     arity: int
     params: tuple[int, ...]
@@ -46,6 +47,10 @@ class Formula:
             raise ValueError("arity must be non-negative")
         if tuple(sorted(set(self.params))) != self.params:
             raise ValueError("params must be sorted and duplicate-free")
+        stray = {lit[2] for disjunct in self.body for lit in disjunct
+                 if lit[0] == "vc"}.difference(self.params)
+        if stray:
+            raise ValueError(f"constants {sorted(stray)} not among params")
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,8 @@ def print_formula(formula: Formula) -> str:
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_VARIABLE = re.compile(r"x(\d+)")
+_CONSTANT = re.compile(r"c(\d+)")
 
 
 def _tokenize(text: str):
@@ -214,14 +221,14 @@ def _term(node):
     if not isinstance(node, tuple):
         raise FormulaSyntaxError("expected a term", position=None)
     text, where = node
-    m = re.fullmatch(r"x(\d+)", text)
+    m = _VARIABLE.fullmatch(text)
     if m:
         idx = int(m.group(1))
         if idx < 1:
             raise FormulaSyntaxError("variable indices start at 1",
                                      position=where)
         return ("var", idx)
-    m = re.fullmatch(r"c(\d+)", text)
+    m = _CONSTANT.fullmatch(text)
     if m:
         return ("const", int(m.group(1)))
     raise FormulaSyntaxError(f"unknown token class: {text!r}", position=where)

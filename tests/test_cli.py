@@ -586,6 +586,11 @@ def test_bad_values_exit_2_without_traceback(argv, tmp_path):
     assert proc.stdout == ""
 
 
+def test_sigma_checks_the_ground_before_any_label(capsys):
+    assert run_cli(["sigma", "--ground", "-3", "--fixed", "[0]"]) == (2, "")
+    assert capsys.readouterr().err == "ddlab: ground size must be 0..65536\n"
+
+
 def test_out_of_memory_exits_2(monkeypatch, capsys):
     def exhausted(op, max_subset):
         raise MemoryError

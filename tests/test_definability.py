@@ -1,5 +1,6 @@
 """Supports, synthesis, the partition dichotomy, and signature classes."""
 
+import hashlib
 import io
 import json
 import random
@@ -110,6 +111,27 @@ def test_star_support_agrees_with_all_pairs():
                     == all_pairs_is_support(rel, combo)
 
 
+def test_orbit_count_support_agrees_with_both_oracles():
+    # seeded relations of arity 1-3 on at most 6 points, and unions of
+    # equality types over at most two parameters; a member iterable may
+    # repeat labels and hold labels outside range(n), which are ignored
+    rng = random.Random(39)
+    rels = list(random_relations(rng, 60, 6, 3))
+    for _ in range(60):
+        n, k = rng.randint(2, 6), rng.randint(1, 3)
+        params = rng.sample(range(n), rng.randint(0, min(2, n)))
+        rels.append(block_relation(
+            n, k, [x + 1 if x in params else 0 for x in range(n)], rng))
+    for rel in rels:
+        for size in range(rel.n + 1):
+            for combo in combinations(range(rel.n), size):
+                expected = brute_is_support(rel, combo)
+                assert all_pairs_is_support(rel, combo) == expected
+                assert df.is_support(rel, combo) == expected
+                noisy = [-2, *combo, *combo[:1], rel.n, -1, rel.n + 5]
+                assert df.is_support(rel, noisy) == expected
+
+
 def _assert_minimal_support_matches_brute(rel):
     expected = brute_minimal_supports(rel)
     ms = df.minimal_support(rel)
@@ -203,27 +225,58 @@ def test_recursive_support_majority_tie():
     assert info.value.stage == "chain-cardinality"
 
 
-def test_recursive_support_sweep_with_strict_majorities():
-    # unions of equality types over at most two parameters, where strict
-    # majorities exist, unlike the arity-2 relations on 4 points
+def strict_majority_relations():
+    """400 seeded unions of equality types over at most two parameters,
+    where strict majorities exist, unlike the arity-2 relations on 4
+    points."""
     rng = random.Random(37)
-    outcomes = {"supported": 0, "chain-cardinality": 0, "class-majority": 0}
     for n, k in ((6, 2), (7, 2), (8, 2), (5, 3)):
         for _ in range(100):
             params = rng.sample(range(n), rng.randint(0, 2))
-            rel = block_relation(
+            yield block_relation(
                 n, k, [x + 1 if x in params else 0 for x in range(n)], rng)
-            try:
-                support = df.recursive_support(rel)
-            except MajorityTie as tie:
-                outcomes[tie.stage] += 1
-                continue
-            outcomes["supported"] += 1
-            assert df.is_support(rel, support)
-            assert all_pairs_is_support(rel, support)
-            assert len(support) >= df.minimal_support(rel).size
+
+
+def test_recursive_support_sweep_with_strict_majorities():
+    outcomes = {"supported": 0, "chain-cardinality": 0, "class-majority": 0}
+    for rel in strict_majority_relations():
+        try:
+            support = df.recursive_support(rel)
+        except MajorityTie as tie:
+            outcomes[tie.stage] += 1
+            continue
+        outcomes["supported"] += 1
+        assert df.is_support(rel, support)
+        assert all_pairs_is_support(rel, support)
+        assert len(support) >= df.minimal_support(rel).size
     assert outcomes == {"supported": 358, "chain-cardinality": 14,
                         "class-majority": 28}
+
+
+def test_recursive_support_trace_digest():
+    # every trace field, or the tie stage, of the recursion on the sweep's
+    # 400 relations and on 2,000 seeded arity-2 relations on 4 points
+    points = list(product(range(4), repeat=2))
+    rels = [*strict_majority_relations(), *(
+        rel_of(4, 2, [p for i, p in enumerate(points) if mask >> i & 1])
+        for mask in random.Random(38).sample(range(1 << 16), 2000))]
+    digest = hashlib.sha256()
+    for rel in rels:
+        try:
+            trace = df.recursive_support_trace(rel)
+        except MajorityTie as tie:
+            record = tie.stage
+        else:
+            assert all(chain.start == b and chain.members == chain.levels[-1]
+                       for b, chain in trace.chains.items())
+            record = [sorted(trace.members),
+                      [[sorted(level) for level in chain.levels]
+                       for chain in trace.chains.values()],
+                      trace.major_size, sorted(trace.major),
+                      sorted(trace.generic_class)]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == ("8ba8b14a16e547cbfe968bf0e0bb964c"
+                                  "996665ecbc195cd1f2b5ff533e286f75")
 
 
 def test_recursive_support_chains_recorded():

@@ -50,6 +50,14 @@ def test_unknown_constant():
     assert f.params == (1, 2, 7)
 
 
+def test_body_constants_must_be_params():
+    # x1 = c0 holds at (0,) and fails at (1,); with no params,
+    # canonicalize could not tell the two apart
+    with pytest.raises(ValueError, match=r"constants \[0\] not among"):
+        fm.Formula(1, (), ((("vc", 1, 0, True),),))
+    assert fm.Formula(1, (0,), ((("vc", 1, 0, True),),)).params == (0,)
+
+
 def test_special_forms():
     falsum = fm.parse_formula("(or)")
     assert falsum.body == ()
