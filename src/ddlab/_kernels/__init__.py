@@ -1,19 +1,20 @@
 """Kernel backend selection: compiled extension with pure-Python fallback.
 
 The compiled backend is ``_gf2ext``, a hand-written CPython extension whose
-one source file, ``_gf2ext.c``, lives in this package.  When no installed
-build of it imports, that file is compiled once with the interpreter's own
+one source file, ``_gf2ext.c``, lives in this package.  It has one build
+path: on first import that file is compiled with the interpreter's own
 ``sysconfig`` toolchain into ``$XDG_CACHE_HOME/ddlab/`` (default
-``~/.cache/ddlab/``) and loaded from there as ``ddlab._kernels._gf2ext``; a
-build removes the cached builds of other versions of the source.  When that is impossible too (no compiler,
-no ``Python.h``, a failed build), the pure-Python twin ``_pure`` is used;
+``~/.cache/ddlab/``), under a name carrying a hash of the source, and loaded
+from there as ``ddlab._kernels._gf2ext``; a build removes the cached builds
+of other versions of the source.  When that is impossible (no compiler, no
+``Python.h``, a failed build), the pure-Python twin ``_pure`` is used;
 importing this package never fails for want of a compiler.
 
 Set DDLAB_PURE=1 in the environment to force the pure backend; no build is
 then attempted.  ``BACKEND`` is ``"cython"`` (the compiled backend's name
 from when it was generated with Cython, kept for the scripts that read it)
-or ``"pure"``; ``BACKEND_DETAIL`` says in one line which path ran and, for
-``"pure"``, why.
+or ``"pure"``; ``BACKEND_DETAIL`` says in one line which path ran: the
+source and the cached build for ``"cython"``, the reason for ``"pure"``.
 """
 
 import contextlib
@@ -79,16 +80,11 @@ def _compile(target):
 
 
 def _load_compiled():
-    """Import the compiled kernels, building them from _SOURCE if needed.
+    """Load the compiled kernels from the cache, building them from
+    _SOURCE first if needed.
 
     Returns the module and the BACKEND_DETAIL line.
     """
-    try:
-        from . import _gf2ext
-
-        return _gf2ext, f"cython: installed extension {_gf2ext.__file__}"
-    except ImportError:
-        pass
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     if not suffix:
         raise _BuildUnavailable("the interpreter reports no EXT_SUFFIX")

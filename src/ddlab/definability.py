@@ -18,7 +18,6 @@ from .errors import (
     MajorityTie,
     NotASupport,
     NotEquivalence,
-    PartitionViolation,
 )
 from .formulas import EqualityType, Formula, complete_types, evaluate
 from .pregeometry import _points
@@ -276,17 +275,8 @@ def _recursion(n: int, k: int, tuples):
     major_size = majority[0]
     major = sum(1 << b for b in range(n)
                 if chains[b].bit_count() == major_size)
-    # the restricted chains must partition the majority set
-    block_of: dict[int, int] = {}
-    for b in _points(major):
-        block = chains[b] & major
-        for x in _points(block):
-            if block_of.setdefault(x, block) != block:
-                raise PartitionViolation(
-                    f"blocks through {x} disagree: {_points(block)} vs "
-                    f"{_points(block_of[x])}")
-    if sum(1 << x for x in block_of) != major:
-        raise PartitionViolation("restricted chains do not cover")
+    # no block check: x in chain(b) puts chain(x) inside chain(b), so two
+    # majority-size chains that meet at a majority point are equal
     solo = [b for b in _points(major) if chains[b] & major == 1 << b]
     # equality types over the points outside the majority set, with
     # each section point renamed to _POINT so sections compare

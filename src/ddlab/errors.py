@@ -51,10 +51,6 @@ class MajorityTie(DdlabError):
         self.stage = stage
 
 
-class PartitionViolation(DdlabError):
-    """An internally constructed block family failed to be a partition."""
-
-
 class NotASupport(DdlabError):
     """The given parameter set does not support the relation."""
 

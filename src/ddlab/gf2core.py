@@ -184,41 +184,34 @@ def extend_independent(avoid: Iterable[int], count: int, dim: int) -> list[int]:
     return chosen
 
 
-def enumerate_subspaces(dim: int, max_card: int | None = None,
-                        budget: int = DEFAULT_SUBSPACE_BUDGET
-                        ) -> Iterator[Subspace]:
-    """The subspaces of GF(2)^dim with at most max_card members, lazily.
+def enumerate_subspaces(dim: int) -> Iterator[Subspace]:
+    """The subspaces of GF(2)^dim, lazily.
 
     Yielded by (cardinality, member list).  The caps and the expected
     count, from Gaussian binomials, are checked when this is called:
     ValueError and BudgetExceeded fire before any work.
     """
     check_dim(dim)
-    if max_card is None and dim > ENUM_MAX_DIM:
+    if dim > ENUM_MAX_DIM:
         raise ValueError(
             f"unbounded enumeration limited to dim <= {ENUM_MAX_DIM}")
-    max_rank = dim
-    if max_card is not None:
-        if max_card < 1:
-            return iter(())
-        max_rank = min(dim, max_card.bit_length() - 1)
-    expected = sum(gaussian_binomial(dim, r) for r in range(max_rank + 1))
-    if expected > budget:
-        raise BudgetExceeded(
-            f"{expected} subspaces exceed the budget of {budget}")
-    return _subspaces_by_rank(dim, max_rank)
+    expected = sum(gaussian_binomial(dim, r) for r in range(dim + 1))
+    if expected > DEFAULT_SUBSPACE_BUDGET:
+        raise BudgetExceeded(f"{expected} subspaces exceed the budget of "
+                             f"{DEFAULT_SUBSPACE_BUDGET}")
+    return _subspaces_by_rank(dim)
 
 
-def _subspaces_by_rank(dim: int, max_rank: int) -> Iterator[Subspace]:
+def _subspaces_by_rank(dim: int) -> Iterator[Subspace]:
     """Each rank sorted by member list, built once the rank below is read:
     rank r + 1 extends by every v past its top leading bit and without the
     others, the least of its coset (each member but 0 tops at a leader)."""
     level = [(frozenset([0]), 0)]  # (members, echelon leading bits)
-    for rank in range(max_rank + 1):
+    for rank in range(dim + 1):
         for members in sorted(sorted(ms) for ms, _ in level):
             yield Subspace(dim, _kernels.rref_basis(members),
                            frozenset(members))
-        if rank < max_rank:
+        if rank < dim:
             level = [(members | {v ^ w for w in members},
                       leaders | 1 << (v.bit_length() - 1))
                      for members, leaders in level

@@ -6,7 +6,6 @@ surjections.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import combinations
@@ -32,42 +31,20 @@ EQUIVARIANCE_MAX_SETS = 1 << 20
 
 # The most mask bits an orbit partition's bit table holds, counting each
 # entry as the 2^dim bits of a mask: its `Memo` is capped at
-# MAX_TABLE_BITS >> dim entries, 2^20 at dim 4 and 256 at dim 16.
+# MAX_TABLE_BITS >> dim entries, 2^20 at dim 4 and 256 at dim 16.  The
+# moves table has the same cap.
 MAX_TABLE_BITS = 1 << 24
-
-
-class _Moves(dict):
-    """(u, v) -> the not-invariant result moving u to v, built on first
-    lookup and shared by every set moved through the same pair.  It holds
-    its partition by a weak reference, so the two form no cycle."""
-
-    __slots__ = ("owner",)
-
-    def __init__(self, owner: OrbitPartition):
-        super().__init__()
-        self.owner = weakref.ref(owner)
-
-    def __missing__(self, key: tuple[int, int]) -> DichotomyResult:
-        u, v = key
-        pi = self.owner().moving_map(u, v)
-        # u is in the set and v is not, so pi(u) = v puts v in pi(S) but
-        # not in S: pi moves every set it is looked up for
-        if pi.apply(u) != v:
-            raise IntermediateAssertFailed(
-                "moving map failed to move the set")
-        hit = self[key] = DichotomyResult("not-invariant", pi, key)
-        return hit
 
 
 class OrbitPartition:
     """Orbits of the pointwise stabilizer of span(fixed) in GL(d, 2):
     each span vector is a singleton, everything else is one block, the
-    set bits of `complement_mask`.  A moving-map witness is built only
-    when `moving_map` is asked for it.
+    set bits of `complement_mask`.
 
-    `bits` (x -> 1 << x, a `Memo` of at most MAX_TABLE_BITS >> dim
-    entries) and `moves` (each moved pair's result, uncapped) are filled
-    on first use."""
+    `bits` (x -> 1 << x) and `moves` ((u, v) -> the not-invariant result
+    whose witness moves u to v, shared by every set moved through that
+    pair) are `Memo`s of at most MAX_TABLE_BITS >> dim entries each,
+    filled on first use; no moving map is built before it is looked up."""
 
     def __init__(self, dim: int, fixed: Iterable[int]):
         check_dim(dim)
@@ -89,12 +66,20 @@ class OrbitPartition:
                 raise ValueError(f"vector {x} out of range for dim {dim}")
             return 1 << x
 
-        self.bits = Memo(bit, MAX_TABLE_BITS >> dim)
-        self.moves = _Moves(self)
+        fixed = self.fixed
 
-    def moving_map(self, u: int, v: int) -> LinearMap:
-        """A stabilizer element sending u to v (both outside the span)."""
-        return fixing_linear_map(self.fixed, u, v, self.dim)
+        def move(pair: tuple[int, int]) -> DichotomyResult:
+            u, v = pair
+            pi = fixing_linear_map(fixed, u, v, dim)
+            # u is in the set and v is not, so pi(u) = v puts v in pi(S)
+            # but not in S: pi moves every set it is looked up for
+            if pi.apply(u) != v:
+                raise IntermediateAssertFailed(
+                    "moving map failed to move the set")
+            return DichotomyResult("not-invariant", pi, pair)
+
+        self.bits = Memo(bit, MAX_TABLE_BITS >> dim)
+        self.moves = Memo(move, MAX_TABLE_BITS >> dim)
 
 
 @dataclass(frozen=True)

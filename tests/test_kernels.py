@@ -210,23 +210,26 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def _select_backend(cache, prelude="", **env):
+def _import_kernels(cache, prelude="", **env):
     """Import ddlab._kernels in a fresh interpreter whose cache is `cache`.
 
-    The prelude blocks any installed extension, so the backend reported is
-    the one the build-from-source path selects.
+    Returns BACKEND, BACKEND_DETAIL and the docstring of `rref_basis`.
     """
     env = {k: v for k, v in os.environ.items() if k != "DDLAB_PURE"} | {
         "PYTHONPATH": str(SRC_DIR), "XDG_CACHE_HOME": str(cache), **env}
-    code = ("import sys; sys.modules['ddlab._kernels._gf2ext'] = None\n"
-            + prelude
+    code = (prelude
             + "import ddlab._kernels as k; print(k.BACKEND); "
-              "print(k.BACKEND_DETAIL)")
+              "print(k.BACKEND_DETAIL); print(ascii(k.rref_basis.__doc__))")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    backend, detail = run.stdout.splitlines()
-    return backend, detail
+    backend, detail, doc = run.stdout.splitlines()
+    return backend, detail, doc
+
+
+def _select_backend(cache, prelude="", **env):
+    """BACKEND and BACKEND_DETAIL of a fresh import (see _import_kernels)."""
+    return _import_kernels(cache, prelude, **env)[:2]
 
 
 @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
@@ -283,3 +286,50 @@ def test_failed_build_falls_back_to_pure(tmp_path):
     assert detail.startswith("pure: compiled kernels unavailable (")
     assert "simulated failure" in detail or "Python.h" in detail
     assert not any((tmp_path / "ddlab").glob("_gf2ext-*"))
+
+
+@pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+@pytest.mark.skipif(not HAVE_PYTHON_H, reason="no Python.h")
+def test_module_beside_the_source_is_not_loaded(tmp_path):
+    # a build left next to _gf2ext.c, then the source edited: the import
+    # must build and load the edited source, never the stale module
+    copy = tmp_path / "src"
+    shutil.copytree(SRC_DIR / "ddlab", copy / "ddlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    kernels = copy / "ddlab" / "_kernels"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    _kernels._compile(kernels / f"_gf2ext{suffix}")
+    source = kernels / "_gf2ext.c"
+    old = "Reduced row-echelon basis of the span, as an ascending tuple."
+    new = "Edited after the build beside the source."
+    text = source.read_text()
+    assert old in text
+    source.write_text(text.replace(old, new))
+    backend, detail, doc = _import_kernels(tmp_path / "cache",
+                                           PYTHONPATH=str(copy))
+    assert backend == "cython", detail
+    assert detail.startswith(f"cython: built from {source}, loaded from "
+                             f"{tmp_path / 'cache' / 'ddlab'}"), detail
+    assert doc == ascii(new)
+
+
+@pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+@pytest.mark.skipif(not HAVE_PYTHON_H, reason="no Python.h")
+def test_built_package_ships_and_builds_the_source(tmp_path):
+    # build_py writes an egg-info beside the sources, so it runs on a copy
+    stage = tmp_path / "stage"
+    shutil.copytree(SRC_DIR, stage / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy(SRC_DIR.parent / "pyproject.toml", stage)
+    out = tmp_path / "lib"
+    run = subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()",
+         "build_py", "--build-lib", str(out)],
+        cwd=stage, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        timeout=600)
+    assert run.returncode == 0, run.stderr
+    shipped = out / "ddlab" / "_kernels" / "_gf2ext.c"
+    assert shipped.read_bytes() == (KERNELS_DIR / "_gf2ext.c").read_bytes()
+    backend, detail = _select_backend(tmp_path / "cache", PYTHONPATH=str(out))
+    assert backend == "cython", detail
+    assert detail.startswith(f"cython: built from {shipped}, "), detail

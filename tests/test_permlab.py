@@ -83,7 +83,7 @@ def test_orbit_witnesses_verified():
     o = permlab.stabilizer_orbits({1}, 4)
     ordered = permlab.mask_points(o.complement_mask)
     for u, v in zip(ordered, ordered[1:]):
-        pi = o.moving_map(u, v)
+        pi = o.moves[u, v].witness
         assert pi.apply(u) == v
         for w in o.fixed_span:
             assert pi.apply(w) == w
@@ -330,14 +330,14 @@ def test_check_dichotomy_shares_results_per_witness_pair():
 
 def test_check_dichotomy_rejects_a_witness_that_does_not_move(monkeypatch):
     orbits = permlab.stabilizer_orbits({1}, 4)
-    monkeypatch.setattr(orbits, "moving_map",
-                        lambda u, v: LinearMap.identity(4))
+    monkeypatch.setattr(permlab, "fixing_linear_map",
+                        lambda fixed, u, v, dim: LinearMap.identity(4))
     with pytest.raises(IntermediateAssertFailed):
         permlab.check_dichotomy({0, 2}, {1}, 4, orbits=orbits)
 
 
 def test_used_partition_is_freed_without_gc():
-    # the moves table reaches its partition by a weak reference only
+    # the moves table's builder holds no reference to its partition
     enabled = gc.isenabled()
     gc.disable()
     try:
