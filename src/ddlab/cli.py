@@ -107,13 +107,13 @@ def _cmd_axioms(args):
     op = _make_operator(args)
     t_bound = args.t_bound if args.t_bound is not None else min(4, op.size)
     u_bound = args.u_bound if args.u_bound is not None else min(8, op.size)
-    # all three run before the first record, so a bad bound writes nothing
-    reports = [
-        pregeometry.check_closure_axioms(op, args.bound),
-        pregeometry.check_exchange(op, args.bound),
-        pregeometry.check_local_homogeneity(op, t_bound, u_bound),
-    ]
-    for r in reports:
+    # all three run before the first record, so a bad bound writes nothing;
+    # --bound is checked first, then local homogeneity runs, the one check
+    # that stops at a budget
+    pregeometry.check_max_subset(op, args.bound)
+    homogeneity = pregeometry.check_local_homogeneity(op, t_bound, u_bound)
+    for r in (pregeometry.check_closure_axioms(op, args.bound),
+              pregeometry.check_exchange(op, args.bound), homogeneity):
         yield ({"check": "axioms", "geometry": op.kind, "ground": op.size,
                 **r.to_json()}, r.ok)
 
@@ -232,7 +232,8 @@ def _cmd_synth(args):
 def _cmd_orbits(args):
     fixed = _parse_vectors(args.fixed or "[]", args.dim, "--fixed")
     orbits = permlab.stabilizer_orbits(fixed, args.dim)
-    complement = permlab.mask_points(orbits.complement_mask)
+    complement = [v for v in range(1 << args.dim)
+                  if v not in orbits.fixed_span]
     blocks = [[w] for w in orbits.fixed_span]
     if complement:
         blocks.append(complement)

@@ -20,7 +20,7 @@ from .errors import (
     NotEquivalence,
 )
 from .formulas import EqualityType, Formula, complete_types, evaluate
-from .pregeometry import _points
+from .gf2core import mask_points
 
 # Caps checked before any work.  n^k of a relation: 12x the largest used by
 # the tests, golden cases and benchmark (7^3); at the cap, `support
@@ -188,7 +188,7 @@ def _chain_levels(start: int, reach: list[int]) -> list[int]:
     levels = [seen]
     while True:
         grown = seen
-        for a in _points(frontier):
+        for a in mask_points(frontier):
             grown |= reach[a]
         if grown == seen:
             return levels
@@ -198,7 +198,7 @@ def _chain_levels(start: int, reach: list[int]) -> list[int]:
 
 
 def _point_set(mask: int) -> frozenset[int]:
-    return frozenset(_points(mask))
+    return frozenset(mask_points(mask))
 
 
 _POINT = -1  # every section point's name in fingerprints, outside any ground
@@ -244,7 +244,7 @@ def _unary_support(n: int, values: int) -> int:
     outside = full ^ members
     if values & outside not in (0, outside):
         raise IntermediateAssertFailed(
-            f"constructed set {_points(members)} is not a support")
+            f"constructed set {mask_points(members)} is not a support")
     return members
 
 
@@ -277,14 +277,14 @@ def _recursion(n: int, k: int, tuples):
                 if chains[b].bit_count() == major_size)
     # no block check: x in chain(b) puts chain(x) inside chain(b), so two
     # majority-size chains that meet at a majority point are equal
-    solo = [b for b in _points(major) if chains[b] & major == 1 << b]
+    solo = [b for b in mask_points(major) if chains[b] & major == 1 << b]
     # equality types over the points outside the majority set, with
     # each section point renamed to _POINT so sections compare
-    params = frozenset(_points(full ^ major)) | {_POINT}
+    params = frozenset(mask_points(full ^ major)) | {_POINT}
     classes: dict[frozenset, int] = {}
     for a in solo:
         section = (sections[a] if k > 2
-                   else [(x,) for x in _points(sections[a])])
+                   else [(x,) for x in mask_points(sections[a])])
         fingerprint = frozenset(
             EqualityType.of_point(
                 [_POINT if x == a else x for x in t], params)
@@ -297,11 +297,11 @@ def _recursion(n: int, k: int, tuples):
                           stage="class-majority")
     generic_class = generic[0]
     members = 0
-    for b in _points(full ^ generic_class):
+    for b in mask_points(full ^ generic_class):
         members |= chains[b]
     if not _is_support(n, tuples, members):
         raise IntermediateAssertFailed(
-            f"constructed set {_points(members)} is not a support")
+            f"constructed set {mask_points(members)} is not a support")
     return members, levels, major_size, major, generic_class
 
 

@@ -16,7 +16,6 @@ from . import _kernels
 from .errors import BudgetExceeded, DimensionExhausted, IntermediateAssertFailed, PointInSpan
 
 MAX_DIM = 24
-ENUM_MAX_DIM = 12
 SPAN_BUDGET = 1 << 20
 DEFAULT_SUBSPACE_BUDGET = 100_000
 # The most bit strings kept per dimension for serialization, the cap of its
@@ -46,6 +45,16 @@ class Memo(dict):
             self.clear()
         self[key] = value
         return value
+
+
+def mask_points(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def check_dim(dim: int) -> None:
@@ -187,14 +196,11 @@ def extend_independent(avoid: Iterable[int], count: int, dim: int) -> list[int]:
 def enumerate_subspaces(dim: int) -> Iterator[Subspace]:
     """The subspaces of GF(2)^dim, lazily.
 
-    Yielded by (cardinality, member list).  The caps and the expected
+    Yielded by (cardinality, member list).  The dim and the expected
     count, from Gaussian binomials, are checked when this is called:
     ValueError and BudgetExceeded fire before any work.
     """
     check_dim(dim)
-    if dim > ENUM_MAX_DIM:
-        raise ValueError(
-            f"unbounded enumeration limited to dim <= {ENUM_MAX_DIM}")
     expected = sum(gaussian_binomial(dim, r) for r in range(dim + 1))
     if expected > DEFAULT_SUBSPACE_BUDGET:
         raise BudgetExceeded(f"{expected} subspaces exceed the budget of "

@@ -95,12 +95,6 @@ class DichotomyResult:
         return self.classification != "not-invariant"
 
 
-def mask_points(mask: int) -> list[int]:
-    """The set bits of `mask`, ascending: the vectors of the set it
-    stands for."""
-    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
 def stabilizer_orbits(fixed: Iterable[int], dim: int) -> OrbitPartition:
     """Orbit partition of GF(2)^dim under maps fixing span(fixed)
     pointwise, with moving maps built on demand."""

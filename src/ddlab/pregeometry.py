@@ -20,7 +20,7 @@ from .errors import (
     NoIndependentSet,
     SearchBudgetExceeded,
 )
-from .gf2core import Memo
+from .gf2core import Memo, mask_points
 
 PERM_BUDGET = math.factorial(8)  # the most maps one search may face
 # The operator makers refuse larger grounds before building them.  The
@@ -203,6 +203,12 @@ class AxiomReport:
         }
 
 
+def check_max_subset(op: ClosureOperator, max_subset: int) -> None:
+    """Raise ValueError for a subset bound the two checkers below refuse."""
+    if not 0 <= max_subset <= op.size:
+        raise ValueError("need 0 <= max_subset <= ground size")
+
+
 def _subsets_upto(ground: frozenset[int], max_size: int):
     """Subsets in (size, lexicographic) order for reproducible reports."""
     labels = sorted(ground)
@@ -214,8 +220,7 @@ def _subsets_upto(ground: frozenset[int], max_size: int):
 def check_closure_axioms(op: ClosureOperator, max_subset: int) -> AxiomReport:
     """Verify extensivity, idempotence, and monotonicity on all subsets
     of size <= max_subset."""
-    if not 0 <= max_subset <= op.size:
-        raise ValueError("need 0 <= max_subset <= ground size")
+    check_max_subset(op, max_subset)
     bad = []
     checked = 0
     # each pass generates the subsets afresh: listed, they would be 8.4
@@ -242,35 +247,28 @@ def check_closure_axioms(op: ClosureOperator, max_subset: int) -> AxiomReport:
 
 def check_exchange(op: ClosureOperator, max_subset: int) -> AxiomReport:
     """Verify the exchange biconditional for all S with |S| <= max_subset
-    and all a, b outside cl(S)."""
-    if not 0 <= max_subset <= op.size:
-        raise ValueError("need 0 <= max_subset <= ground size")
+    and all a, b outside cl(S).
+
+    All C(m, 2) pairs of the m points outside cl(S) are counted as
+    checked, but a pair can fail only one way round: y in cl(S + x) and x
+    not in cl(S + y).  So only the points y of each cl(S + x) outside
+    cl(S) are tested, and the failures of each S are reported sorted."""
+    check_max_subset(op, max_subset)
     bad = []
     checked = 0
     for subset, combo in _subsets_upto(op.ground, max_subset):
         outside = sorted(op.ground - op.cl(subset))
         grown = {x: op.cl(subset | {x}) for x in outside}
-        for i, a in enumerate(outside):
-            for b in outside[i + 1:]:
-                checked += 1
-                left = a in grown[b]
-                right = b in grown[a]
-                if left != right:
-                    bad.append({"set": list(combo), "a": a, "b": b,
-                                "a_in_cl_Sb": left, "b_in_cl_Sa": right})
+        checked += math.comb(len(outside), 2)
+        for a, b in sorted((min(x, y), max(x, y)) for x in grown
+                           for y in grown[x]
+                           if y in grown and x not in grown[y]):
+            bad.append({"set": list(combo), "a": a, "b": b,
+                        "a_in_cl_Sb": a in grown[b],
+                        "b_in_cl_Sa": b in grown[a]})
     status = "PASS" if not bad else "FAIL"
     return AxiomReport("exchange", {"max_subset": max_subset}, status,
                        tuple(bad[:50]), checked)
-
-
-def _points(mask: int) -> list[int]:
-    """The positions of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _submasks(mask: int):
@@ -322,7 +320,7 @@ def _join(orbit: dict[int, int], moves: list[tuple[int, int]]) -> None:
     for x, y in moves:
         merged = orbit[x] | orbit[y]
         if merged != orbit[x]:
-            for z in _points(merged):
+            for z in mask_points(merged):
                 orbit[z] = merged
 
 
@@ -371,7 +369,7 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
     holders: list[list[int]] = [[] for _ in labels]  # smallest first
     lowest: list[list[int]] = [[] for _ in labels]  # tested sizes only
     for m in masks:
-        points = _points(m)
+        points = mask_points(m)
         for x in points:
             holders[x].append(m)
         if points and len(points) in tested:
@@ -384,14 +382,14 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
         inside t whose last point outside t it is."""
         subsets = inside.get(u)
         if subsets is None:
-            subsets = inside[u] = [w for x in _points(u) for w in lowest[x]
+            subsets = inside[u] = [w for x in mask_points(u) for w in lowest[x]
                                    if w | u == u and w != u]
-        free = _points(u & ~t)
+        free = mask_points(u & ~t)
         due: dict[int, list] = {x: [] for x in free}
         for w in subsets:
             if w | t != t:
                 x = (w & ~t).bit_length() - 1
-                due[x].append(tuple(_points(w ^ 1 << x)))
+                due[x].append(tuple(mask_points(w ^ 1 << x)))
         return free, [free] * len(free), [due[x] for x in free]
 
     bad = []
@@ -436,8 +434,8 @@ def check_local_homogeneity(op: ClosureOperator, max_closed: int,
                        key=rank.__getitem__)
         found: list[tuple[int, list]] = []  # (moved mask, its moves)
         for fixed in inner:
-            fixed_points = _points(fixed)
-            free = _points(t & ~fixed)
+            fixed_points = mask_points(fixed)
+            free = mask_points(t & ~fixed)
             orbit = {x: 1 << x for x in free}  # x -> the mask of its class
             for moved, moves in found:
                 if not moved & fixed:
@@ -505,11 +503,6 @@ class CardinalityReport:
     inspected: int
     status: str
     counterexample: dict | None = None
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "common_value": self.common_value,
-                "inspected": self.inspected, "status": self.status,
-                "counterexample": self.counterexample}
 
 
 def verify_closure_cardinality(op: ClosureOperator,

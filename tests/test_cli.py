@@ -600,6 +600,28 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "ddlab: out of memory\n"
 
 
+def test_axioms_stop_at_the_closed_set_budget_first(monkeypatch, capsys):
+    # local homogeneity runs before closure and exchange: at affine d=7 it
+    # finds more closed sets of at most 8 points than its budget
+    def refuse(op, max_subset):
+        raise AssertionError("ran before local homogeneity")
+
+    for name in ("check_closure_axioms", "check_exchange"):
+        monkeypatch.setattr(pregeometry, name, refuse)
+    assert run_cli(["axioms", "--geometry", "affine", "--dim", "7"]) == (2, "")
+    assert capsys.readouterr().err == ("ddlab: BudgetExceeded: more than "
+                                       "16384 closed sets of at most 8 "
+                                       "points\n")
+
+
+def test_axioms_report_a_bad_bound_first(capsys):
+    # --t-bound is bad too, but --bound is reported, as before
+    assert run_cli(["axioms", "--geometry", "linear", "--dim", "2",
+                    "--bound", "99", "--t-bound", "5"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "ddlab: need 0 <= max_subset <= ground size\n"
+
+
 def test_unread_options_exit_2(tmp_path, capsys):
     path = tmp_path / "rel.json"
     path.write_text(POINT_7)

@@ -157,7 +157,8 @@ def test_enumerate_subspaces_budget_and_caps():
     # 417,199 subspaces at d = 8, past DEFAULT_SUBSPACE_BUDGET
     with pytest.raises(BudgetExceeded, match="^417199 subspaces exceed"):
         gf2core.enumerate_subspaces(8)
-    with pytest.raises(ValueError):
+    # the budget alone caps every larger dim
+    with pytest.raises(BudgetExceeded, match="subspaces exceed the budget"):
         gf2core.enumerate_subspaces(13)
     with pytest.raises(ValueError):
         gf2core.enumerate_subspaces(0)

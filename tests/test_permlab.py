@@ -26,7 +26,7 @@ def blocks_of(orbits):
     alone, and the complement mask's points as one block."""
     blocks = [frozenset([w]) for w in orbits.fixed_span]
     if orbits.complement_mask:
-        blocks.append(frozenset(permlab.mask_points(orbits.complement_mask)))
+        blocks.append(frozenset(gf2core.mask_points(orbits.complement_mask)))
     return sorted(blocks, key=min)
 
 
@@ -81,7 +81,7 @@ def test_orbit_examples():
 
 def test_orbit_witnesses_verified():
     o = permlab.stabilizer_orbits({1}, 4)
-    ordered = permlab.mask_points(o.complement_mask)
+    ordered = gf2core.mask_points(o.complement_mask)
     for u, v in zip(ordered, ordered[1:]):
         pi = o.moves[u, v].witness
         assert pi.apply(u) == v
@@ -202,7 +202,7 @@ def test_mask_witness_moves_the_whole_set(dim):
         assert mask >> u & 1 and not mask >> v & 1
         assert result is orbits.moves[u, v]
         pi = result.witness
-        image = sum(1 << pi.apply(x) for x in permlab.mask_points(mask))
+        image = sum(1 << pi.apply(x) for x in gf2core.mask_points(mask))
         assert image != mask and image >> v & 1
         assert all(pi.apply(w) == w for w in orbits.fixed_span)
     assert (moved > 0) == (dim > 1)
@@ -245,7 +245,7 @@ def test_complement_mask_matches_complement(dim):
             complement = [v for v in range(1 << dim)
                           if v not in orbits.fixed_span]
             assert orbits.complement_mask == sum(1 << v for v in complement)
-            assert permlab.mask_points(orbits.complement_mask) == complement
+            assert gf2core.mask_points(orbits.complement_mask) == complement
 
 
 @pytest.mark.parametrize("bad", [8, -1, 1 << 20])

@@ -133,6 +133,55 @@ def test_exchange_catches_initial_segment_operator():
     assert first["set"] == [] and (first["a"], first["b"]) == (0, 1)
 
 
+def all_pairs_exchange(op, max_subset):
+    """Oracle: the exchange report from every pair a < b outside cl(S),
+    and the number of failures, which the report caps at 50."""
+    bad = []
+    checked = 0
+    for size in range(max_subset + 1):
+        for combo in combinations(sorted(op.ground), size):
+            subset = frozenset(combo)
+            outside = sorted(op.ground - op.cl(subset))
+            grown = {x: op.cl(subset | {x}) for x in outside}
+            for i, a in enumerate(outside):
+                for b in outside[i + 1:]:
+                    checked += 1
+                    left = a in grown[b]
+                    right = b in grown[a]
+                    if left != right:
+                        bad.append({"set": list(combo), "a": a, "b": b,
+                                    "a_in_cl_Sb": left, "b_in_cl_Sa": right})
+    return pg.AxiomReport("exchange", {"max_subset": max_subset},
+                          "FAIL" if bad else "PASS", tuple(bad[:50]),
+                          checked), len(bad)
+
+
+def test_exchange_matches_the_all_pairs_loop_on_geometries():
+    for make in (pg.linear_operator, pg.affine_operator):
+        for dim in range(1, 5):
+            op = make(dim)
+            for bound in range(min(3, op.size) + 1):
+                want, failures = all_pairs_exchange(op, bound)
+                assert pg.check_exchange(op, bound) == want
+                assert failures == 0
+
+
+def test_exchange_matches_the_all_pairs_loop_on_families():
+    rng = random.Random(31)
+    failures = []
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        op = family_operator(n, random_family(rng, n, rng.random()),
+                             "family")
+        bound = rng.randint(0, 3)
+        want, count = all_pairs_exchange(op, bound)
+        assert pg.check_exchange(op, bound) == want
+        failures.append(count)
+    # 24 families fail exchange, 4 of them past the cap of 50
+    assert sum(map(bool, failures)) == 24
+    assert sorted(failures)[-5:] == [49, 65, 67, 108, 148]
+
+
 def test_local_homogeneity_bounded_pass():
     r = pg.check_local_homogeneity(pg.linear_operator(3), 4, 8)
     assert r.status == "BOUNDED-PASS"
@@ -185,6 +234,21 @@ def family_operator(n, closed, kind):
     return pg.ClosureOperator(
         range(n), kind,
         lambda s: min((c for c in family if s <= c), key=len))
+
+
+def random_family(rng, n, p):
+    """The ground range(n) and each of its subsets with probability p,
+    closed under intersection."""
+    ground = frozenset(range(n))
+    closed = {ground}
+    for mask in range(1 << n):
+        if rng.random() < p:
+            closed.add(frozenset(x for x in ground if mask >> x & 1))
+    while True:
+        more = {a & b for a in closed for b in closed} - closed
+        if not more:
+            return closed
+        closed |= more
 
 
 def test_local_homogeneity_tests_a_size_with_an_open_set():
@@ -301,17 +365,7 @@ def test_local_homogeneity_matches_the_definition():
     passed = failed = 0
     for _ in range(300):
         n = rng.randint(3, 5)
-        ground = frozenset(range(n))
-        closed = {ground}
-        p = rng.random() ** 0.5
-        for mask in range(1 << n):
-            if rng.random() < p:
-                closed.add(frozenset(x for x in ground if mask >> x & 1))
-        while True:  # close the family under intersection
-            more = {a & b for a in closed for b in closed} - closed
-            if not more:
-                break
-            closed |= more
+        closed = random_family(rng, n, rng.random() ** 0.5)
         op = family_operator(n, closed, "family")
         max_closed = rng.randint(2, n)  # below 2, no pair to move
         max_extension = rng.randint(max_closed, n)
