@@ -53,6 +53,28 @@ def _grow_subspaces(mset, nonzero, span, last, leaders, visit):
                             leaders | 1 << (v.bit_length() - 1), visit)
 
 
+def _dominant_subspace(mset):
+    """A subspace X inside the set S with 3|X| > 2|S|, or None.  Such an X
+    is the unique largest subspace in S: a subspace W inside S with
+    |W| >= |X| meets X in at least |W| + |X| - |S| > |W|/2 points, so
+    W and X are equal.
+
+    X grows greedily over S in ascending order, keeping the points x with
+    x + X inside S.  A point v joins when it is one of those and enough of
+    them stay for X + v, which all lie among them, to be large enough."""
+    need = 2 * len(mset)
+    span = {0}
+    cosets = mset  # the points x with x + span inside the set
+    for v in sorted(mset):
+        if v in span or v not in cosets:
+            continue
+        kept = {x for x in cosets if x ^ v in cosets}
+        if 3 * len(kept) > need:
+            span |= {w ^ v for w in span}
+            cosets = kept
+    return span if 3 * len(span) > need else None
+
+
 def union_of_max_subspaces(members):
     """Union of all maximum-cardinality subspaces inside the set.
 
@@ -61,6 +83,14 @@ def union_of_max_subspaces(members):
     mset = set(members)
     if 0 not in mset:
         raise ValueError("union_of_max_subspaces needs 0 in the set")
+    dominant = _dominant_subspace(mset)
+    if dominant is not None:
+        return len(dominant), tuple(sorted(dominant))
+    return _search_max_subspaces(mset)
+
+
+def _search_max_subspaces(mset):
+    """The same result by visiting every subspace inside the set."""
     nonzero = sorted(v for v in mset if v)
     state = {"card": 1, "union": {0}}
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from functools import lru_cache, partial
+from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     NotASupport,
     NotEquivalence,
 )
-from .formulas import EqualityType, Formula, complete_types, evaluate
+from .formulas import EqualityType, Formula, complete_types, satisfying_mask
 from .gf2core import mask_points
 
 # Caps checked before any work.  n^k of a relation: 12x the largest used by
@@ -46,9 +46,15 @@ class Relation:
         if self.k >= top or self.n ** self.k > MAX_TUPLE_SPACE:
             raise ValueError(f"n={self.n}, k={self.k} is above the cap of "
                              f"n^k <= {MAX_TUPLE_SPACE} with k < {top}")
-        for t in self.tuples:
-            if len(t) != self.k or any(not 0 <= x < self.n for x in t):
-                raise ValueError(f"bad tuple {t} for n={self.n}, k={self.k}")
+        # one pass over the lengths and the points, and a second one only
+        # to name a bad tuple
+        ground = range(self.n)
+        if ({len(t) for t in self.tuples} - {self.k}
+                or not all(x in ground
+                           for x in {x for t in self.tuples for x in t})):
+            bad = next(t for t in self.tuples if len(t) != self.k
+                       or any(x not in ground for x in t))
+            raise ValueError(f"bad tuple {bad} for n={self.n}, k={self.k}")
 
     @classmethod
     def from_tuples(cls, n: int, k: int, tuples) -> "Relation":
@@ -89,16 +95,41 @@ def _transposition_classes(rel: Relation) -> list[list[int]]:
     This is an equivalence, because (b c) = (a b)(a c)(a b) (Dixon and
     Mortimer, Permutation Groups, GTM 163, 1996), so each point is tested
     against one representative per class."""
-    by_point = _by_point(rel.n, rel.tuples)
+    if rel.k == 2:
+        preserved = _pair_test(rel.n, rel.tuples)
+    else:
+        preserved = partial(_preserved, rel.tuples,
+                            _by_point(rel.n, rel.tuples))
     classes: list[list[int]] = []
     for x in range(rel.n):
         for cls in classes:
-            if _preserved(rel.tuples, by_point, cls[0], x):
+            if preserved(cls[0], x):
                 cls.append(x)
                 break
         else:
             classes.append([x])
     return classes
+
+
+def _pair_test(n: int, tuples: frozenset):
+    """The transposition test for a binary relation, on its row masks
+    (bit y of rows[x] for the pair (x, y)) and column masks (bit x of
+    cols[y]).  (a b) moves only the pairs in rows a and b and in columns
+    a and b, so it preserves the relation exactly when columns a and b
+    agree off {a, b} and row b is row a with bits a and b exchanged."""
+    rows = [0] * n
+    cols = [0] * n
+    for x, y in tuples:
+        rows[x] |= 1 << y
+        cols[y] |= 1 << x
+
+    def preserved(a: int, b: int) -> bool:
+        pair = 1 << a | 1 << b
+        row = rows[a]
+        if (row >> a ^ row >> b) & 1:
+            row ^= pair
+        return rows[b] == row and not (cols[a] ^ cols[b]) & ~pair
+    return preserved
 
 
 def is_support(rel: Relation, members: Iterable[int]) -> bool:
@@ -197,6 +228,18 @@ def _chain_levels(start: int, reach: list[int]) -> list[int]:
         levels.append(seen)
 
 
+def _chains(reach: list[int]) -> list[int]:
+    """Every chain's fixed point, the last layer `_chain_levels` would
+    build: chain b is the transitive closure of b under "x reaches the
+    points of reach[x]", found for all b at once by Warshall's
+    algorithm on point masks."""
+    chains = [r | 1 << b for b, r in enumerate(reach)]
+    for x in range(len(chains)):
+        through = chains[x]
+        chains = [c | through if c >> x & 1 else c for c in chains]
+    return chains
+
+
 def _point_set(mask: int) -> frozenset[int]:
     return frozenset(mask_points(mask))
 
@@ -217,10 +260,11 @@ def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
     if rel.k == 1:
         return RecursiveSupportTrace(
             _point_set(_support_mask(rel.n, 1, rel.tuples)))
-    members, levels, major_size, major, generic = _recursion(
+    members, reach, major_size, major, generic = _recursion(
         rel.n, rel.k, rel.tuples)
-    chains = {b: SupportChain(b, tuple(map(_point_set, layers)),
-                              _point_set(layers[-1]))
+    levels = [tuple(map(_point_set, _chain_levels(b, reach)))
+              for b in range(rel.n)]
+    chains = {b: SupportChain(b, layers, layers[-1])
               for b, layers in enumerate(levels)}
     return RecursiveSupportTrace(_point_set(members), chains, major_size,
                                  _point_set(major), _point_set(generic))
@@ -250,9 +294,10 @@ def _unary_support(n: int, values: int) -> int:
 
 def _recursion(n: int, k: int, tuples):
     """The recursion at arity k >= 2, on point masks.  Returns the
-    members, each chain's levels, the majority chain size, the majority
-    set and the generic class.  The sections are the tails of the tuples,
-    grouped by their first point; at arity 2 each is a row mask."""
+    members, the section supports the chains grow by, the majority chain
+    size, the majority set and the generic class.  The sections are the
+    tails of the tuples, grouped by their first point; at arity 2 each is
+    a row mask."""
     full = (1 << n) - 1
     if k == 2:
         sections = [0] * n
@@ -265,8 +310,7 @@ def _recursion(n: int, k: int, tuples):
             sections[t[0]].add(t[1:])
         section_support = [_support_mask(n, k - 1, section)
                            for section in sections]
-    levels = [_chain_levels(b, section_support) for b in range(n)]
-    chains = [layers[-1] for layers in levels]
+    chains = _chains(section_support)
     counts = Counter(chain.bit_count() for chain in chains)
     majority = [size for size, c in counts.items() if 2 * c > n]
     if not majority:
@@ -278,18 +322,28 @@ def _recursion(n: int, k: int, tuples):
     # no block check: x in chain(b) puts chain(x) inside chain(b), so two
     # majority-size chains that meet at a majority point are equal
     solo = [b for b in mask_points(major) if chains[b] & major == 1 << b]
-    # equality types over the points outside the majority set, with
-    # each section point renamed to _POINT so sections compare
-    params = frozenset(mask_points(full ^ major)) | {_POINT}
-    classes: dict[frozenset, int] = {}
+    # a solo point's fingerprint: the equality types of its section over
+    # the points outside the majority set, with the point itself renamed
+    # _POINT so sections compare.  A row mask's types are the outside
+    # points it holds, whether it holds its own point, and whether it
+    # holds another majority point, so at arity 2 those three are the key.
+    if k == 2:
+        def fingerprint(a: int):
+            row = sections[a]
+            return (row & ~major, row >> a & 1,
+                    row & major & ~(1 << a) != 0)
+    else:
+        params = frozenset(mask_points(full ^ major)) | {_POINT}
+
+        def fingerprint(a: int):
+            return frozenset(
+                EqualityType.of_point(
+                    [_POINT if x == a else x for x in t], params)
+                for t in sections[a])
+    classes: dict = {}
     for a in solo:
-        section = (sections[a] if k > 2
-                   else [(x,) for x in mask_points(sections[a])])
-        fingerprint = frozenset(
-            EqualityType.of_point(
-                [_POINT if x == a else x for x in t], params)
-            for t in section)
-        classes[fingerprint] = classes.get(fingerprint, 0) | 1 << a
+        key = fingerprint(a)
+        classes[key] = classes.get(key, 0) | 1 << a
     generic = [members for members in classes.values()
                if 2 * members.bit_count() > n]
     if not generic:
@@ -302,7 +356,7 @@ def _recursion(n: int, k: int, tuples):
     if not _is_support(n, tuples, members):
         raise IntermediateAssertFailed(
             f"constructed set {mask_points(members)} is not a support")
-    return members, levels, major_size, major, generic_class
+    return members, section_support, major_size, major, generic_class
 
 
 def recursive_support(rel: Relation) -> frozenset[int]:
@@ -334,10 +388,20 @@ def synthesize_formula(rel: Relation, support: Iterable[int]) -> Formula:
         for _, witness, literals in _realizable_types(rel.n, rel.k, params)
         if witness in rel.tuples))
     formula = Formula(rel.k, params, body)
-    for point in product(range(rel.n), repeat=rel.k):
-        if evaluate(formula, point) != (point in rel.tuples):
-            raise IntermediateAssertFailed(
-                f"synthesized formula disagrees with the relation at {point}")
+    # both sides as masks over {0..n-1}^k in `product` order
+    expected = 0
+    for t in rel.tuples:
+        index = 0
+        for x in t:
+            index = index * rel.n + x
+        expected |= 1 << index
+    wrong = satisfying_mask(formula, rel.n) ^ expected
+    if wrong:
+        # the lowest wrong bit is the first disagreeing point
+        point = next(islice(product(range(rel.n), repeat=rel.k),
+                            (wrong & -wrong).bit_length() - 1, None))
+        raise IntermediateAssertFailed(
+            f"synthesized formula disagrees with the relation at {point}")
     return formula
 
 

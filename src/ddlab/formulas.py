@@ -17,11 +17,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, FormulaSyntaxError, UnknownConstant
+from .gf2core import Memo
 
 DNF_BUDGET = 1 << 16
+# The most literal masks `satisfying_mask` keeps, the cap of its `Memo`.  A
+# mask has one bit per point of {0..n-1}^k, which a relation keeps to at
+# most 2^12 points; 4,096 such masks take 2.3 MB.
+MAX_LITERAL_MASKS = 1 << 12
 
 
 def _literal_key(lit):
@@ -163,6 +169,35 @@ def evaluate(formula: Formula, point: Sequence[int]) -> bool:
         if ok:
             return True
     return False
+
+
+def _literal_mask(key) -> int:
+    """The points of {0..n-1}^k, as a mask in `product` order, that
+    satisfy the literal in key = (n, k, literal)."""
+    n, k, (kind, i, other, positive) = key
+    points = product(range(n), repeat=k)
+    if kind == "vv":
+        holds = (point[i - 1] == point[other - 1] for point in points)
+    else:
+        holds = (point[i - 1] == other for point in points)
+    return sum(1 << j for j, truth in enumerate(holds) if truth == positive)
+
+
+_LITERAL_MASKS = Memo(_literal_mask, MAX_LITERAL_MASKS)
+
+
+def satisfying_mask(formula: Formula, n: int) -> int:
+    """The points of {0..n-1}^arity where the formula holds, as a mask
+    whose bit j stands for the j-th point in `itertools.product` order."""
+    k = formula.arity
+    full = (1 << n ** k) - 1
+    out = 0
+    for disjunct in formula.body:
+        mask = full
+        for lit in disjunct:
+            mask &= _LITERAL_MASKS[n, k, lit]
+        out |= mask
+    return out
 
 
 def _literal_text(lit) -> str:

@@ -130,6 +130,7 @@ def test_05_general_construction_end_to_end():
                 recovered += 1
         assert recovered > 0
         results[inst.op.kind] = (recovered, skipped)
+    assert results == {"linear": (32, 105), "affine": (17, 0)}
     _ok(5, f"witness sizes 2 (linear) / 3 (affine), independent; "
            f"preimages recovered with both internal checks: "
            f"linear(4) {results['linear']}, affine(4) {results['affine']} "
@@ -174,6 +175,9 @@ def test_06_relation_sweeps():
     elapsed = time.perf_counter() - t0
     tie_total = sum(ties.values())
     assert completed + tie_total == 1 << 16
+    assert completed == 292
+    assert ties == {"chain-cardinality": 42_282, "class-majority": 22_962}
+    assert round_trips == 840
     assert elapsed < 600.0
     _STATE["c6_round_trips"] = round_trips
     _ok(6, f"arity-1 sweep clean (128/128); arity-2 sweep: {completed} "
@@ -207,6 +211,7 @@ def test_07_equivalence_relations_classify():
         outcome = df.partition_dichotomy(rel, support)  # raises if violated
         assert outcome in ("single-block", "all-singletons")
         classified += 1
+    assert (classified, small_remainder) == (143, 60)
     _ok(7, f"all 203 equivalence relations on 6 points: {classified} "
            f"classified, {small_remainder} with fewer than 3 points "
            f"outside the support, zero dichotomy violations")
@@ -293,6 +298,7 @@ def test_09_equivariance():
         moved += rel.apply_perm(pi) != rel
         tied += not _renaming_commutes(rel, pi, minimal, first)
     assert moved == 199  # seeded: one renaming fixes its relation
+    assert tied == 200  # seeded: the recursion ties on every one
     _STATE["c9_formulas"] = produced
 
     # unions of the realizable equality types of pairs over a seeded E,
@@ -396,6 +402,7 @@ def test_10_signature_class_gadgets():
                         assert c in target and d not in target
                         assert any(c in cls and d in cls for cls in classes)
                     checked += 1
+    assert checked == 1_082_368
     _ok(10, f"class-count bound on 200 seeded instances; witness behavior "
             f"exhaustive on {checked} (fixed, sets, target) triples")
 
@@ -403,8 +410,9 @@ def test_10_signature_class_gadgets():
 def test_11_round_trips_and_reproducibility():
     # formulas from checks 6 and 9 must round-trip through text
     assert _STATE["c6_round_trips"] is not None, "run check 6 first"
-    assert _STATE["c6_round_trips"] >= 2 * 128
+    assert _STATE["c6_round_trips"] == 840
     assert _STATE["c9_formulas"], "run check 9 first"
+    assert len(_STATE["c9_formulas"]) == 400
     for formula in _STATE["c9_formulas"]:
         assert _round_trip(formula)
 

@@ -1,10 +1,12 @@
 """Supports, synthesis, the partition dichotomy, and signature classes."""
 
+import functools
 import hashlib
 import io
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -13,6 +15,7 @@ from ddlab import cli
 from ddlab import definability as df
 from ddlab import formulas as fm
 from ddlab.errors import (
+    IntermediateAssertFailed,
     MajorityTie,
     NotASupport,
     NotEquivalence,
@@ -149,6 +152,79 @@ def test_minimal_support_agrees_with_brute_force_unary():
 def test_minimal_support_agrees_with_brute_force_random():
     for rel in random_relations(random.Random(36), 200, 6, 3):
         _assert_minimal_support_matches_brute(rel)
+
+
+def transposition_tables(n):
+    """For each pair a < b, the action of (a b) on a binary relation's pair
+    mask (bit i for the i-th pair in product order), as one lookup table
+    per byte of the mask.  Each pair's image is found by applying the
+    transposition to the one-pair relation through Relation.apply_perm."""
+    points = list(product(range(n), repeat=2))
+    tables = {}
+    for a, b in combinations(range(n), 2):
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        image = [points.index(*rel_of(n, 2, [p]).apply_perm(swap).tuples)
+                 for p in points]
+        tables[a, b] = [[sum(1 << image[j] for j in range(start, n * n)
+                             if byte >> j - start & 1) for byte in range(256)]
+                        for start in range(0, n * n, 8)]
+    return tables
+
+
+def pair_mask(rel):
+    return sum(1 << a * rel.n + b for a, b in rel.tuples)
+
+
+@functools.cache
+def supports_from_labels(labels):
+    """The complements of the largest classes of the labelling, sorted."""
+    sizes = Counter(labels)
+    largest = max(sizes.values())
+    return tuple(sorted(
+        (frozenset(x for x, c in enumerate(labels) if c != label)
+         for label, size in sizes.items() if size == largest), key=sorted))
+
+
+def _assert_minimal_support_matches_transpositions(rel, tables):
+    """Oracle: join a and b when (a b) maps the pair mask to itself, over
+    every pair in two classes so far (the preserving permutations form a
+    group), and take the complements of the largest classes."""
+    mask = pair_mask(rel)
+    chunks = list(enumerate(mask.to_bytes(8, "little")[:len(tables[0, 1])]))
+    labels = list(range(rel.n))
+    for (a, b), table in tables.items():
+        if (labels[a] != labels[b]
+                and sum(table[i][byte] for i, byte in chunks) == mask):
+            old, new = labels[b], labels[a]
+            labels = [new if x == old else x for x in labels]
+    expected = supports_from_labels(tuple(labels))
+    ms = df.minimal_support(rel)
+    assert ms.candidates == expected
+    assert ms.members == expected[0]
+    assert ms.ambiguous == (len(expected) > 1)
+
+
+def test_binary_minimal_support_agrees_with_applied_transpositions():
+    tables = {n: transposition_tables(n) for n in range(4, 9)}
+    points = list(product(range(4), repeat=2))
+    for mask in range(1 << 16):
+        _assert_minimal_support_matches_transpositions(df.Relation(
+            4, 2, frozenset(p for i, p in enumerate(points) if mask >> i & 1)),
+            tables[4])
+    # seeded relations on 5-8 points, half of them unions of block orbits
+    # so that classes of every size occur, ties for the largest included
+    rng = random.Random(40)
+    for i in range(2000):
+        n = rng.randint(5, 8)
+        if i % 2:
+            rel = rel_of(n, 2, [t for t in product(range(n), repeat=2)
+                                if rng.random() < 0.5])
+        else:
+            rel = block_relation(
+                n, 2, [rng.randrange(rng.randint(1, n)) for _ in range(n)],
+                rng)
+        _assert_minimal_support_matches_transpositions(rel, tables[n])
 
 
 def test_support_compare_on_a_full_unary_relation_at_the_cap(tmp_path):
@@ -328,6 +404,35 @@ def test_synthesize_formula_examples():
 
     with pytest.raises(NotASupport):
         df.synthesize_formula(rel_of(7, 1, [(3,)]), frozenset())
+
+
+def test_synthesis_check_names_the_first_wrong_point(monkeypatch):
+    # with a type that has a witness in the relation left out of the
+    # formula, the check fails at that type's first point in product order
+    rng = random.Random(43)
+    real = df._realizable_types
+    dropped_some = 0
+    for n, k, blocks in ((7, 1, [1, 0, 0, 2, 0, 0, 0]),
+                         (5, 2, [0, 1, 0, 0, 0]),
+                         (5, 3, [1, 0, 0, 0, 2])):
+        rel = block_relation(n, k, blocks, rng)
+        support = df.minimal_support(rel).members
+        params = tuple(sorted(support))
+        types = real(n, k, params)
+        for dropped in types:
+            if dropped[1] not in rel.tuples:
+                continue
+            first = next(p for p in product(range(n), repeat=k)
+                         if fm.EqualityType.of_point(p, params) == dropped[0])
+            monkeypatch.setattr(df, "_realizable_types",
+                                lambda *key: tuple(t for t in real(*key)
+                                                   if t is not dropped))
+            with pytest.raises(IntermediateAssertFailed) as info:
+                df.synthesize_formula(rel, support)
+            assert str(info.value) == ("synthesized formula disagrees with "
+                                       f"the relation at {first}")
+            dropped_some += 1
+    assert dropped_some == 19
 
 
 def test_synthesis_exact_on_random_relations():

@@ -1,5 +1,8 @@
 """Formula language: parsing, printing, evaluation, canonicalization."""
 
+import random
+from itertools import product
+
 import pytest
 
 from ddlab import formulas as fm
@@ -118,6 +121,34 @@ def test_canonicalize_is_semantically_faithful():
             assert fm.evaluate(canon, point) == fm.evaluate(f, point), text
         # canonicalization is a fixed point
         assert fm.canonicalize(canon) == canon
+
+
+def test_satisfying_mask_agrees_with_evaluate():
+    # seeded DNF bodies of up to three disjuncts of up to three literals,
+    # some constants outside the ground, and falsum and verum at each size
+    rng = random.Random(42)
+    formulas = []
+    for _ in range(400):
+        n, k = rng.randint(1, 6), rng.randint(0, 3)
+        params = tuple(sorted(rng.sample(range(n + 1), rng.randint(0, 2))))
+        literals = [("vv", i, j, positive) for i in range(1, k + 1)
+                    for j in range(i + 1, k + 1) for positive in (True, False)]
+        literals += [("vc", i, c, positive) for i in range(1, k + 1)
+                     for c in params for positive in (True, False)]
+        body = tuple(
+            tuple(rng.sample(literals, rng.randint(0, min(3, len(literals)))))
+            for _ in range(rng.randint(0, 3)))
+        formulas.append((n, fm.Formula(k, params, body)))
+        for text in ("(or)", "(and)"):
+            formulas.append((n, fm.parse_formula(text, arity=k)))
+    for n, formula in formulas:
+        assert fm.satisfying_mask(formula, n) == sum(
+            1 << j for j, point in
+            enumerate(product(range(n), repeat=formula.arity))
+            if fm.evaluate(formula, point))
+    assert fm.satisfying_mask(fm.parse_formula("(or)", arity=2), 3) == 0
+    assert fm.satisfying_mask(fm.parse_formula("(and)", arity=2), 3) \
+        == (1 << 9) - 1
 
 
 def test_equality_type_of_point():

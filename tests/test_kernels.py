@@ -167,6 +167,33 @@ def test_backends_agree():
             == _pure.union_of_max_subspaces(ordered)
 
 
+def test_pure_fast_path_agrees_with_the_full_search():
+    # a subspace X inside S with 3|X| > 2|S| is the answer; two planes
+    # sharing a line (|X| = 4, |S| = 6) sit just below that threshold
+    planes = {0, 1, 2, 3, 4, 5}
+    assert _pure._dominant_subspace(planes) is None
+    assert _pure.union_of_max_subspaces(planes) == (4, (0, 1, 2, 3, 4, 5))
+    # a random subspace U with m points added, on both sides of |U| > 2m,
+    # and random sets, where the fast path rarely applies; on all of them
+    # it applies exactly when the answer is above the threshold
+    rng = random.Random(44)
+    fired = {True: 0, False: 0}
+    for i in range(600):
+        d = rng.randint(2, 6)
+        vectors = [rng.getrandbits(d) for _ in range(rng.randint(1, d))]
+        members = set(_pure.span_members(vectors)) if i % 3 else {0}
+        members |= {rng.getrandbits(d)
+                    for _ in range(rng.randint(0, max(len(members), 12)))}
+        full = _pure._search_max_subspaces(members)
+        dominant = _pure._dominant_subspace(members)
+        assert (dominant is not None) == (3 * full[0] > 2 * len(members))
+        if dominant is not None:
+            assert (len(dominant), tuple(sorted(dominant))) == full
+        fired[dominant is not None] += 1
+        assert _pure.union_of_max_subspaces(sorted(members)) == full
+    assert min(fired.values()) > 100
+
+
 @pytest.mark.skipif(_gf2ext is None, reason="compiled kernels unavailable")
 def test_compiled_kernels_reject_bad_vectors():
     for kernel in (_gf2ext.rref_basis, _gf2ext.gf2_rank, _gf2ext.span_members):
