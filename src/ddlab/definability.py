@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
@@ -19,7 +19,7 @@ from .errors import (
     NotASupport,
     NotEquivalence,
 )
-from .formulas import EqualityType, Formula, complete_types, satisfying_mask
+from .formulas import Formula, complete_types, satisfying_mask
 from .gf2core import mask_points
 
 # Caps checked before any work.  n^k of a relation: 12x the largest used by
@@ -70,24 +70,40 @@ class Relation:
                                   for t in self.tuples))
 
 
-def _by_point(n: int, tuples: frozenset) -> list[list[tuple[int, ...]]]:
-    """For each point of {0..n-1}, the tuples that contain it, listed
-    once per occurrence."""
-    by_point: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+def _tuple_mask(n: int, tuples) -> int:
+    """The tuples as a mask over {0..n-1}^k, bit j for the j-th point in
+    `product` order."""
+    mask = 0
     for t in tuples:
+        index = 0
         for x in t:
-            by_point[x].append(t)
-    return by_point
+            index = index * n + x
+        mask |= 1 << index
+    return mask
 
 
-def _preserved(tuples: frozenset, by_point: list, a: int, b: int) -> bool:
-    """True when the transposition (a b) maps the tuple set onto itself.
-    It fixes every tuple without a or b and is a bijection, so it is
-    enough that each tuple it moves, one of by_point[a] + by_point[b],
-    lands in the set."""
-    swap = {a: b, b: a}
-    return all(tuple(map(swap.get, t, t)) in tuples
-               for t in by_point[a] + by_point[b])
+def _swap_test(n: int, k: int, tuples):
+    """The transposition test on the relation's tuple mask.  In the
+    coordinate of weight w, the points whose value there is d form runs of
+    w bits at d*w, repeated every n*w bits; (a b), a < b, exchanges the
+    runs of a and b, a shift by (b - a)*w, in every coordinate."""
+    mask = _tuple_mask(n, tuples)
+    size = n ** k
+    coordinates = []  # (w, the runs of value 0)
+    for j in range(k):
+        w = n ** (k - 1 - j)
+        coordinates.append(
+            (w, ((1 << size) - 1) // ((1 << n * w) - 1) * ((1 << w) - 1)))
+
+    def preserved(a: int, b: int) -> bool:
+        image = mask
+        for w, runs in coordinates:
+            low, high = runs << a * w, runs << b * w
+            shift = (b - a) * w
+            image = (image & ~(low | high) | (image & low) << shift
+                     | (image & high) >> shift)
+        return image == mask
+    return preserved
 
 
 def _transposition_classes(rel: Relation) -> list[list[int]]:
@@ -98,8 +114,7 @@ def _transposition_classes(rel: Relation) -> list[list[int]]:
     if rel.k == 2:
         preserved = _pair_test(rel.n, rel.tuples)
     else:
-        preserved = partial(_preserved, rel.tuples,
-                            _by_point(rel.n, rel.tuples))
+        preserved = _swap_test(rel.n, rel.k, rel.tuples)
     classes: list[list[int]] = []
     for x in range(rel.n):
         for cls in classes:
@@ -135,21 +150,29 @@ def _pair_test(n: int, tuples: frozenset):
 def is_support(rel: Relation, members: Iterable[int]) -> bool:
     """True when every permutation fixing `members` pointwise preserves
     the relation.  Labels outside {0..n-1} are ignored."""
-    return _is_support(rel.n, rel.tuples, sum(
+    return _is_support(rel.n, rel.k, rel.tuples, sum(
         1 << x for x in frozenset(members).intersection(range(rel.n))))
 
 
-def _is_support(n: int, tuples, members: int) -> bool:
+def _is_support(n: int, k: int, tuples, members: int) -> bool:
     """The same test for the point mask `members`: the tuple set must be a
-    union of orbits of Sym(outside).  A tuple's orbit is fixed by its
-    pattern, which keeps the members and numbers the other points by
-    first occurrence, and an orbit with j such points has perm(m, j)
-    tuples when m points lie outside; so every pattern that occurs must
-    occur that often.  With fewer than two points outside the stabilizer
-    is trivial and the check is vacuous."""
-    m = n - members.bit_count()
+    union of orbits of Sym(outside).  With fewer than two points outside
+    the stabilizer is trivial and the check is vacuous.  At arity 2 the
+    test runs `_pair_test` on the transpositions (o0 o), o0 the least
+    outside point, which generate Sym(outside) (Dixon and Mortimer, 1996).
+    At other arities a tuple's orbit is fixed by its pattern, which keeps
+    the members and numbers the other points by first occurrence, and an
+    orbit with j such points has perm(m, j) tuples when m points lie
+    outside; so every pattern that occurs must occur that often."""
+    outside = ((1 << n) - 1) & ~members
+    m = outside.bit_count()
     if m < 2:
         return True
+    if k == 2:
+        preserved = _pair_test(n, tuples)
+        low = outside & -outside
+        first = low.bit_length() - 1
+        return all(preserved(first, o) for o in mask_points(outside ^ low))
     counts: Counter = Counter()
     for t in tuples:
         fresh: dict[int, int] = {}
@@ -244,9 +267,6 @@ def _point_set(mask: int) -> frozenset[int]:
     return frozenset(mask_points(mask))
 
 
-_POINT = -1  # every section point's name in fingerprints, outside any ground
-
-
 def recursive_support_trace(rel: Relation) -> RecursiveSupportTrace:
     """Support construction by recursion on arity, with the finite
     replacement of "finite/cofinite" by "at most half / more than half".
@@ -323,23 +343,26 @@ def _recursion(n: int, k: int, tuples):
     # majority-size chains that meet at a majority point are equal
     solo = [b for b in mask_points(major) if chains[b] & major == 1 << b]
     # a solo point's fingerprint: the equality types of its section over
-    # the points outside the majority set, with the point itself renamed
-    # _POINT so sections compare.  A row mask's types are the outside
-    # points it holds, whether it holds its own point, and whether it
-    # holds another majority point, so at arity 2 those three are the key.
+    # the points outside the majority set and the point itself, renamed n
+    # so sections compare.  A type is kept as the pattern that writes the
+    # outside points as they are and numbers the other majority points
+    # n + 1, n + 2, ... by first occurrence.  A row mask's types are the
+    # outside points it holds, whether it holds its own point, and whether
+    # it holds another majority point, so at arity 2 those three are the
+    # key.
     if k == 2:
         def fingerprint(a: int):
             row = sections[a]
             return (row & ~major, row >> a & 1,
                     row & major & ~(1 << a) != 0)
     else:
-        params = frozenset(mask_points(full ^ major)) | {_POINT}
-
         def fingerprint(a: int):
-            return frozenset(
-                EqualityType.of_point(
-                    [_POINT if x == a else x for x in t], params)
-                for t in sections[a])
+            types = set()
+            for t in sections[a]:
+                fresh = {a: n}
+                types.add(tuple(fresh.setdefault(x, n + len(fresh))
+                                if major >> x & 1 else x for x in t))
+            return frozenset(types)
     classes: dict = {}
     for a in solo:
         key = fingerprint(a)
@@ -353,7 +376,7 @@ def _recursion(n: int, k: int, tuples):
     members = 0
     for b in mask_points(full ^ generic_class):
         members |= chains[b]
-    if not _is_support(n, tuples, members):
+    if not _is_support(n, k, tuples, members):
         raise IntermediateAssertFailed(
             f"constructed set {mask_points(members)} is not a support")
     return members, section_support, major_size, major, generic_class
@@ -376,12 +399,14 @@ def _realizable_types(n: int, k: int, params: tuple[int, ...]):
 
 def synthesize_formula(rel: Relation, support: Iterable[int]) -> Formula:
     """Canonical DNF over complete equality types with the support as
-    parameters; exactness is verified on every tuple before returning."""
+    parameters; exactness is verified on every tuple before returning.
+    An exact formula certifies the support: with the members as its
+    constants, its points are a union of complete types, which are orbits
+    of Sym(outside).  So `is_support` runs only when the check fails, to
+    tell a non-support (NotASupport) from a synthesis fault."""
     members = frozenset(support)
     if not members <= set(range(rel.n)):
         raise ValueError("support not contained in the ground set")
-    if not is_support(rel, members):
-        raise NotASupport(f"{sorted(members)} does not support the relation")
     params = tuple(sorted(members))
     body = tuple(sorted(
         literals
@@ -389,14 +414,11 @@ def synthesize_formula(rel: Relation, support: Iterable[int]) -> Formula:
         if witness in rel.tuples))
     formula = Formula(rel.k, params, body)
     # both sides as masks over {0..n-1}^k in `product` order
-    expected = 0
-    for t in rel.tuples:
-        index = 0
-        for x in t:
-            index = index * rel.n + x
-        expected |= 1 << index
-    wrong = satisfying_mask(formula, rel.n) ^ expected
+    wrong = satisfying_mask(formula, rel.n) ^ _tuple_mask(rel.n, rel.tuples)
     if wrong:
+        if not is_support(rel, members):
+            raise NotASupport(
+                f"{sorted(members)} does not support the relation")
         # the lowest wrong bit is the first disagreeing point
         point = next(islice(product(range(rel.n), repeat=rel.k),
                             (wrong & -wrong).bit_length() - 1, None))
@@ -461,21 +483,20 @@ def signature_classes(n: int, fixed: Iterable[int],
     return tuple(sorted(classes, key=min))
 
 
-def nonunion_witness(classes: Sequence[Iterable[int]],
+def nonunion_witness(classes: Iterable[Iterable[int]],
                      subset: Iterable[int]) -> tuple[int, int] | None:
     """Least (c, d) in one class with c inside the subset and d outside,
-    or None when the subset is a union of classes."""
+    or None when the subset is a union of classes.  Each class that meets
+    the subset without lying inside it offers its least point inside and
+    its least point outside; the least c wins.  Only overlapping classes
+    can offer the same c, and then the earliest of them wins."""
     target = frozenset(subset)
-    class_of = {}
+    best = None
     for cls in classes:
         members = frozenset(cls)
-        for x in members:
-            class_of[x] = members
-    for c in sorted(target):
-        cls = class_of.get(c)
-        if cls is None:
-            continue
-        outs = sorted(cls - target)
-        if outs:
-            return (c, outs[0])
-    return None
+        inside = members & target
+        if inside and len(inside) < len(members):
+            c = min(inside)
+            if best is None or c < best[0]:
+                best = (c, min(members - target))
+    return best

@@ -139,15 +139,45 @@ def complete_types(arity: int, params: tuple[int, ...]
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _type_literals(arity: int, params: tuple[int, ...]):
+    """For the complete types on (arity, params), in `complete_types`
+    order: a mask per literal of the types whose complete conjunction
+    holds it, and each conjunction with its type's bit, ascending by
+    conjunction."""
+    holds: dict = {}
+    conjunctions = []
+    for i, t in enumerate(complete_types(arity, params)):
+        literals = t.to_literals()
+        conjunctions.append((literals, 1 << i))
+        for lit in literals:
+            holds[lit] = holds.get(lit, 0) | 1 << i
+    return holds, tuple(sorted(conjunctions))
+
+
 def canonicalize(formula: Formula) -> Formula:
     """The canonical DNF: all complete equality types implying the formula,
-    rendered as complete conjunctions, sorted.  A type is decided at its
-    witness: with its constants among the params, a formula takes one
-    value on every tuple realizing a type."""
-    ground = len(formula.params) + formula.arity
-    included = [t for t in complete_types(formula.arity, formula.params)
-                if evaluate(formula, t.witness(ground))]
-    body = tuple(sorted(t.to_literals() for t in included))
+    rendered as complete conjunctions, sorted.  A complete type decides
+    every literal over the params, so it implies a disjunct exactly when
+    the disjunct's literals lie in its conjunction: the types implying a
+    disjunct are the AND of its literals' type masks.  A literal outside
+    every conjunction, which only a hand-built body holds (x2 = x1, or a
+    variable above the arity), is decided at each type's witness instead,
+    where the formula takes the value it takes on the whole type."""
+    holds, conjunctions = _type_literals(formula.arity, formula.params)
+    implied = 0
+    try:
+        for disjunct in formula.body:
+            mask = -1
+            for lit in disjunct:
+                mask &= holds[lit]
+            implied |= mask
+    except KeyError:
+        ground = len(formula.params) + formula.arity
+        implied = sum(1 << i for i, t in enumerate(
+            complete_types(formula.arity, formula.params))
+            if evaluate(formula, t.witness(ground)))
+    body = tuple(literals for literals, bit in conjunctions if implied & bit)
     return Formula(formula.arity, formula.params, body)
 
 
@@ -220,50 +250,62 @@ def print_formula(formula: Formula) -> str:
     return "(or " + " ".join(disjuncts) + ")"
 
 
-_TOKEN = re.compile(r"\(|\)|[^\s()]+")
-_VARIABLE = re.compile(r"x(\d+)")
-_CONSTANT = re.compile(r"c(\d+)")
+# a token is an atom (= term term) or a negated atom (not (= term term)),
+# group 1 marking the negation and groups 2 and 3 holding the terms, a
+# parenthesis, or a run of other non-space characters; compiled on first
+# use by `re`'s own cache
+_TOKEN = (r"\((?:\s*(not)\s*\()?\s*=\s+([^\s()]+)\s+([^\s()]+)\s*\)"
+          r"(?(1)\s*\))|[()]|[^\s()]+")
+# The most (atom, polarity) pairs `_ATOMS` keeps, the cap of its `Memo`;
+# the complete types at arity k over p params use 2(C(k, 2) + kp) of them.
+MAX_ATOMS = 1 << 12
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        tokens.append((m.group(), m.start()))
-    return tokens
-
-
-def _parse_sexpr(tokens, pos):
-    if pos >= len(tokens):
+def _read(text: str):
+    """The one S-expression in the text: a list per application, the
+    `re.Match` of each atom and (text, position) per other token."""
+    open_lists: list = []  # (items, position of the '(')
+    node = None
+    for m in re.finditer(_TOKEN, text):
+        if node is not None:
+            raise FormulaSyntaxError("trailing input", position=m.start())
+        tok = m[0]
+        if m.lastindex:
+            item = m
+        elif tok == "(":
+            open_lists.append(([], m.start()))
+            continue
+        elif tok == ")":
+            if not open_lists:
+                raise FormulaSyntaxError("unexpected ')'",
+                                         position=m.start())
+            item = open_lists.pop()[0]
+        else:
+            item = (tok, m.start())
+        if open_lists:
+            open_lists[-1][0].append(item)
+        else:
+            node = item
+    if open_lists:
+        raise FormulaSyntaxError("unclosed parenthesis",
+                                 position=open_lists[-1][1])
+    if node is None:
         raise FormulaSyntaxError("unexpected end of input", position=None)
-    tok, where = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise FormulaSyntaxError("unclosed parenthesis",
-                                         position=where)
-            if tokens[pos][0] == ")":
-                return items, pos + 1
-            node, pos = _parse_sexpr(tokens, pos)
-            items.append(node)
-    if tok == ")":
-        raise FormulaSyntaxError("unexpected ')'", position=where)
-    return (tok, where), pos + 1
+    return node
 
 
 def _term(node):
     if not isinstance(node, tuple):
         raise FormulaSyntaxError("expected a term", position=None)
     text, where = node
-    m = _VARIABLE.fullmatch(text)
+    m = re.fullmatch(r"x(\d+)", text)
     if m:
         idx = int(m.group(1))
         if idx < 1:
             raise FormulaSyntaxError("variable indices start at 1",
                                      position=where)
         return ("var", idx)
-    m = _CONSTANT.fullmatch(text)
+    m = re.fullmatch(r"c(\d+)", text)
     if m:
         return ("const", int(m.group(1)))
     raise FormulaSyntaxError(f"unknown token class: {text!r}", position=where)
@@ -284,9 +326,39 @@ def _make_literal(lhs, rhs, positive: bool):
     return (lhs[1] == rhs[1]) == positive
 
 
+def _atom_literal(key):
+    """`_make_literal` for key = (lhs text, rhs text, positive), or None
+    when a term is malformed."""
+    lhs, rhs, positive = key
+    try:
+        return _make_literal(_term((lhs, None)), _term((rhs, None)),
+                             positive)
+    except FormulaSyntaxError:
+        return None
+
+
+_ATOMS = Memo(_atom_literal, MAX_ATOMS)
+
+
+def _literal_dnf(lit):
+    """The DNF of one atom: its literal, or verum or falsum."""
+    if lit is True:
+        return [[]]
+    if lit is False:
+        return []
+    return [[lit]]
+
+
 def _ast_to_dnf(node, negate: bool):
     """DNF (list of literal lists) of a parsed node; True/False may appear
     in place of a literal for constant atoms."""
+    if type(node) is re.Match:  # an atom, negated when group 1 matched
+        positive = negate == (node[1] is not None)
+        lit = _ATOMS[node[2], node[3], positive]
+        if lit is None:  # a malformed term, named with its position
+            lit = _make_literal(_term((node[2], node.start(2))),
+                                _term((node[3], node.start(3))), positive)
+        return _literal_dnf(lit)
     if not isinstance(node, list):
         raise FormulaSyntaxError("expected a formula", position=node[1])
     if not node:
@@ -298,12 +370,8 @@ def _ast_to_dnf(node, negate: bool):
         if len(node) != 3:
             raise FormulaSyntaxError("= takes two terms",
                                      position=head[1])
-        lit = _make_literal(_term(node[1]), _term(node[2]), not negate)
-        if lit is True:
-            return [[]]
-        if lit is False:
-            return []
-        return [[lit]]
+        return _literal_dnf(
+            _make_literal(_term(node[1]), _term(node[2]), not negate))
     if head[0] == "not":
         if len(node) != 2:
             raise FormulaSyntaxError("not takes one formula",
@@ -313,6 +381,8 @@ def _ast_to_dnf(node, negate: bool):
         conjunctive = (head[0] == "and") != negate
         children = [_ast_to_dnf(child, negate) for child in node[1:]]
         if conjunctive:
+            if all(len(child) == 1 for child in children):
+                return [[lit for child in children for lit in child[0]]]
             out = [[]]
             for child in children:
                 nxt = []
@@ -352,11 +422,7 @@ def parse_formula(text: str, arity: int | None = None,
     sorted constants seen; pass them explicitly for formulas that do not
     mention every variable or constant (falsum, verum).
     """
-    tokens = _tokenize(text)
-    node, pos = _parse_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise FormulaSyntaxError("trailing input", position=tokens[pos][1])
-    raw = _ast_to_dnf(node, negate=False)
+    raw = _ast_to_dnf(_read(text), negate=False)
     body = []
     for literals in raw:
         cleaned = _clean_disjunct(literals)

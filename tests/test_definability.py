@@ -227,6 +227,35 @@ def test_binary_minimal_support_agrees_with_applied_transpositions():
         _assert_minimal_support_matches_transpositions(rel, tables[n])
 
 
+def test_transposition_classes_agree_with_applied_transpositions():
+    # arities 1, 3 and 4 take the tuple-mask test; the oracle joins a and
+    # b when (a b), applied to the whole relation, fixes it
+    rng = random.Random(48)
+    sizes = Counter()
+    for i in range(300):
+        k = rng.choice([1, 3, 4])
+        n = rng.randint(2, {1: 9, 3: 6, 4: 5}[k])
+        if i % 2:
+            density = rng.random()
+            rel = rel_of(n, k, [t for t in product(range(n), repeat=k)
+                                if rng.random() < density])
+        else:
+            rel = block_relation(
+                n, k, [rng.randrange(rng.randint(1, n)) for _ in range(n)],
+                rng)
+        labels = list(range(n))
+        for a, b in combinations(range(n), 2):
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            if rel.apply_perm(swap) == rel:
+                labels[b] = labels[a]
+        classes = df._transposition_classes(rel)
+        assert classes == [[x for x in range(n) if labels[x] == label]
+                           for label in sorted(set(labels))]
+        sizes[max(map(len, classes)) < n] += 1
+    assert sizes[True] >= 100 and sizes[False] >= 50, sizes
+
+
 def test_support_compare_on_a_full_unary_relation_at_the_cap(tmp_path):
     # all 4,096 points form one transposition class; each transposition
     # tested reads only the tuples through its two points
@@ -355,6 +384,20 @@ def test_recursive_support_trace_digest():
                                   "996665ecbc195cd1f2b5ff533e286f75")
 
 
+def test_arity3_fingerprint_tells_the_point_from_other_majority_points():
+    # the solo points 0, 2 and 3 share a fingerprint only when each names
+    # itself apart from the other majority points: with the point numbered
+    # like them, the class majority splits and the set built is no support
+    rel = rel_of(4, 3, [
+        (0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 0), (1, 0, 1),
+        (1, 1, 0), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 3, 1),
+        (1, 3, 3), (2, 0, 2), (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 0, 3),
+        (3, 1, 3), (3, 2, 3), (3, 3, 3)])
+    trace = df.recursive_support_trace(rel)
+    assert trace.members == {1} and trace.generic_class == {0, 2, 3}
+    assert brute_is_support(rel, trace.members)
+
+
 def test_recursive_support_chains_recorded():
     rel = rel_of(6, 2, [(0, 1), (1, 0)])
     trace = df.recursive_support_trace(rel)
@@ -435,6 +478,35 @@ def test_synthesis_check_names_the_first_wrong_point(monkeypatch):
     assert dropped_some == 19
 
 
+def test_synthesis_refuses_a_non_support_with_the_same_message():
+    # arity 2: one pair moved by every transposition outside {0}; arity 3:
+    # a tuple through 1 and 2 moved by (1 2); arity 1 as before
+    for rel, members, text in (
+            (rel_of(5, 2, [(0, 1)]), {0}, "[0]"),
+            (rel_of(5, 2, [(0, 1), (1, 0)]), set(), "[]"),
+            (rel_of(5, 3, [(0, 1, 2)]), {0, 3}, "[0, 3]"),
+            (rel_of(7, 1, [(3,)]), {5}, "[5]")):
+        with pytest.raises(NotASupport) as info:
+            df.synthesize_formula(rel, members)
+        assert str(info.value) == f"{text} does not support the relation"
+
+
+def test_synthesis_runs_no_support_test_when_exact(monkeypatch):
+    # an exact formula certifies its support, so is_support runs only to
+    # name the error of a failed check
+    calls = []
+    real = df.is_support
+    monkeypatch.setattr(df, "is_support",
+                        lambda *args: calls.append(args) or real(*args))
+    for rel in strict_majority_relations():
+        df.synthesize_formula(rel, df.minimal_support(rel).members)
+        df.synthesize_formula(rel, range(rel.n))
+    assert calls == []
+    with pytest.raises(NotASupport):
+        df.synthesize_formula(rel_of(5, 3, [(0, 1, 2)]), {0})
+    assert len(calls) == 1
+
+
 def test_synthesis_exact_on_random_relations():
     rng = random.Random(32)
     all_tuples = list(product(range(5), repeat=2))
@@ -510,6 +582,58 @@ def test_nonunion_witness():
     assert df.nonunion_witness([{0, 1}, {2}], {0, 1}) is None
     classes = df.signature_classes(4, [0], [[1, 2]])
     assert df.nonunion_witness(classes, {1}) == (1, 2)
+    # the least c wins across classes, and the least d in its class
+    assert df.nonunion_witness([{5, 6, 9}, {1, 4, 2}], {1, 4, 5}) == (1, 2)
+    assert df.nonunion_witness([{5, 6, 9}, {1, 4}], {1, 4, 5, 7}) == (5, 6)
+    assert df.nonunion_witness(iter([[3, 4], [8]]), [8, 3, 0]) == (3, 4)
+
+
+def test_nonunion_witness_on_overlapping_classes():
+    # the earliest class offering the least c wins; a class inside the
+    # subset offers nothing
+    assert df.nonunion_witness([{0, 1}, {0, 2}], {0}) == (0, 1)
+    assert df.nonunion_witness([{0, 2}, {0, 1}], {0}) == (0, 2)
+    assert df.nonunion_witness([{0}, {0, 3}], {0}) == (0, 3)
+    assert df.nonunion_witness([{1, 2}, {0, 1, 3}], {1, 2}) == (1, 0)
+
+
+def class_table_witness(classes, subset):
+    """The witness as a table from each point to its class, scanned over
+    the subset in order; on disjoint classes, the definition."""
+    target = frozenset(subset)
+    class_of = {x: frozenset(cls) for cls in classes for x in cls}
+    for c in sorted(target):
+        outs = sorted(class_of.get(c, target) - target)
+        if outs:
+            return (c, outs[0])
+    return None
+
+
+def set_partitions(points):
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for partition in set_partitions(rest):
+        yield [[first], *partition]
+        for i in range(len(partition)):
+            yield [*partition[:i], [first, *partition[i]], *partition[i + 1:]]
+
+
+def test_nonunion_witness_agrees_with_the_class_table():
+    # every partition of 5 points, shuffled, also with its last class
+    # dropped, against every subset of 6 labels (5 lies in no class)
+    rng = random.Random(45)
+    subsets = [[x for x in range(6) if mask >> x & 1] for mask in range(64)]
+    partitions = 0
+    for partition in set_partitions(list(range(5))):
+        rng.shuffle(partition)
+        for classes in (partition, partition[:-1]):
+            for subset in subsets:
+                assert df.nonunion_witness(classes, subset) \
+                    == class_table_witness(classes, subset)
+        partitions += 1
+    assert partitions == 52
 
 
 def test_relation_json_round_trip(tmp_path):
@@ -522,3 +646,32 @@ def test_relation_json_round_trip(tmp_path):
     assert cli._load_relation(str(path)) == rel_of(3, 1, [(2,)])
     with pytest.raises(ValueError):
         rel_of(3, 1, [(5,)])
+
+
+def test_binary_support_agrees_with_every_outside_permutation():
+    # all 512 relations on 3 points with every member set, then 2,000
+    # seeded (relation, members) pairs on 4-6 points, half of them unions
+    # of equality types over the members, so supported; the oracle applies
+    # every permutation of the outside points
+    points = list(product(range(3), repeat=2))
+    for mask in range(1 << 9):
+        rel = rel_of(3, 2, [p for i, p in enumerate(points) if mask >> i & 1])
+        for size in range(4):
+            for members in combinations(range(3), size):
+                assert df.is_support(rel, members) \
+                    == brute_is_support(rel, members)
+    rng = random.Random(44)
+    supported = 0
+    for i in range(2000):
+        n = rng.randint(4, 6)
+        members = {x for x in range(n) if rng.random() < 0.4}
+        if i % 2:
+            rel = block_relation(
+                n, 2, [x + 1 if x in members else 0 for x in range(n)], rng)
+        else:
+            rel = rel_of(n, 2, [t for t in product(range(n), repeat=2)
+                                if rng.random() < 0.5])
+        expected = brute_is_support(rel, members)
+        assert df.is_support(rel, members) == expected
+        supported += expected
+    assert supported == 1106
